@@ -28,6 +28,8 @@ _RHO_SCALE = 10000
 
 # brute-force cross-checks enumerate every vertex, so they are capped
 _VERIFY_MAX_N = 16
+# and so do explicit Cartesian powers, by their vertex count
+_VERIFY_MAX_VERTICES = 5000
 
 
 class _UsageError(Exception):
@@ -49,6 +51,16 @@ def format_significant(value: Decimal, digits: int) -> str:
             return "0"
         quantum = Decimal((0, (1,), d.adjusted() - digits + 1))
         return str(d.quantize(quantum))
+
+
+def _agree(at: str, what: str, **routes) -> bool:
+    """Whether every route gave the same value; if not, say so on stderr."""
+    first, *rest = routes.values()
+    if all(v == first for v in rest):
+        return True
+    found = " ".join(f"{route}={v}" for route, v in routes.items())
+    print(f"consistency failure at {at}: {what} {found}", file=sys.stderr)
+    return False
 
 
 def _emit(lines: list[str]) -> None:
@@ -120,22 +132,11 @@ def _cmd_ecc_table(args) -> int:
         for n in range(1, args.n_max + 1):
             g = cube.CubeGraph(kind, n)
             brute_sum = sum(g.eccentricities("bfs"))
-            brute_edges = g.edge_count_brute()
             closed_sum = cube.ecc_sum_closed(n, kind)
-            closed_edges = cube.edge_count(n, kind)
-            if not (brute_sum == closed_sum == gf_sums[n]):
-                print(
-                    f"consistency failure at n={n}: eccentricity sums "
-                    f"bfs={brute_sum} closed={closed_sum} gf={gf_sums[n]}",
-                    file=sys.stderr,
-                )
-                return 2
-            if brute_edges != closed_edges:
-                print(
-                    f"consistency failure at n={n}: edges "
-                    f"bfs={brute_edges} closed={closed_edges}",
-                    file=sys.stderr,
-                )
+            if not (
+                _agree(f"n={n}", "eccentricity sums", bfs=brute_sum, closed=closed_sum, gf=gf_sums[n])
+                and _agree(f"n={n}", "edges", brute=g.edge_count_brute(), closed=cube.edge_count(n, kind))
+            ):
                 return 2
     _emit(_table(["n", "vertices", "edges", "ecc_sum", "avg_ecc", "avg_ecc_over_n"], rows, args.format))
     return 0
@@ -168,19 +169,9 @@ def _cmd_ecc_hist(args) -> int:
     hist = by_method(args.method)
     if args.verify:
         methods = ["bfs", "gf", "fast"] if kind is WordClass.FIBONACCI else ["bfs", "gf"]
-        if kind is WordClass.LUCAS and n < 2:
-            methods.remove("gf")  # degenerate cubes: the series row is reported, not asserted
-        results = {m: by_method(m) for m in methods}
-        results[args.method] = hist
-        baseline = results[methods[0]]
-        for m, h in results.items():
-            if h.counts != baseline.counts:
-                print(
-                    f"consistency failure at n={n}: histogram {m}={h.counts} "
-                    f"{methods[0]}={baseline.counts}",
-                    file=sys.stderr,
-                )
-                return 2
+        results = {m: (hist if m == args.method else by_method(m)).counts for m in methods}
+        if not _agree(f"n={n}", "histogram", **results):
+            return 2
     rows = [[str(k), str(c)] for k, c in sorted(hist.counts.items())]
     _emit(_table(["k", "count"], rows, args.format))
     return 0
@@ -204,11 +195,7 @@ def _cmd_weights(args) -> int:
         if args.verify:
             b0 = cube.weight_count_brute(n, i, 0, kind)
             b1 = cube.weight_count_brute(n, i, 1, kind)
-            if (w0, w1) != (b0, b1):
-                print(
-                    f"consistency failure at i={i}: closed=({w0},{w1}) brute=({b0},{b1})",
-                    file=sys.stderr,
-                )
+            if not _agree(f"i={i}", "weight counts", closed=(w0, w1), brute=(b0, b1)):
                 return 2
         ratio = to_decimal(Fraction(w0, w1))
         rows.append([str(i), str(w0), str(w1), format_significant(ratio, args.digits)])
@@ -251,34 +238,36 @@ def _cmd_tree_print(args) -> int:
     return 0
 
 
-def _density_family(args):
-    if args.family == "fib":
-        return density.fibonacci_cube_family()
-    if args.family == "lucas":
-        return density.lucas_cube_family()
-    if args.family == "skk":
-        return density.subdivided_complete_family()
-    if args.family == "cycles":
-        return density.even_cycle_family()
-    if args.base_n is None:
+def _fib_powers(base_n: int | None) -> density.GraphFamily:
+    if base_n is None:
         raise _UsageError("--family power needs --base-n")
-    if not 1 <= args.base_n <= 20:
+    if not 1 <= base_n <= 20:
         raise _UsageError("--base-n must lie in 1..20")
-    nv = cube.vertex_count(args.base_n, WordClass.FIBONACCI)
-    ne = cube.edge_count(args.base_n, WordClass.FIBONACCI)
-    return density.power_family(nv, ne, name=f"fib-{args.base_n}-powers")
+    nv = cube.vertex_count(base_n, WordClass.FIBONACCI)
+    ne = cube.edge_count(base_n, WordClass.FIBONACCI)
+    return density.power_family(nv, ne, name=f"fib-{base_n}-powers")
+
+
+# --family -> (family from --base-n, cap on --k); cube counts beyond
+# dimension 20000 exceed the interpreter's integer print limit
+_DENSITY_FAMILIES = {
+    "fib": (lambda _: density.fibonacci_cube_family(), 20000),
+    "lucas": (lambda _: density.lucas_cube_family(), 20000),
+    "skk": (lambda _: density.subdivided_complete_family(), 10**6),
+    "cycles": (lambda _: density.even_cycle_family(), 10**12),
+    "power": (_fib_powers, 1000),
+}
 
 
 def _cmd_density(args) -> int:
-    # cube counts beyond dimension 20000 exceed the interpreter's print limit
-    caps = {"fib": 20000, "lucas": 20000, "skk": 10**6, "cycles": 10**12, "power": 1000}
+    make_family, cap = _DENSITY_FAMILIES[args.family]
     if args.k < 1:
         raise _UsageError("--k must be >= 1")
-    if args.k > caps[args.family]:
-        raise _UsageError(f"--k must be <= {caps[args.family]} for family {args.family}")
+    if args.k > cap:
+        raise _UsageError(f"--k must be <= {cap} for family {args.family}")
     if args.family != "power" and args.base_n is not None:
         raise _UsageError("--base-n applies to --family power only")
-    family = _density_family(args)
+    family = make_family(args.base_n)
     if args.k < family.first_index:
         raise _UsageError(f"--k must be >= {family.first_index} for family {args.family}")
     step = args.step if args.step is not None else max(1, args.k // 200)
@@ -287,24 +276,25 @@ def _cmd_density(args) -> int:
     table = density.rho_limit(family, args.k, step)
     if args.verify:
         if args.family in ("fib", "lucas"):
-            for row in table.rows:
-                if row.k > _VERIFY_MAX_N:
-                    continue
-                g = cube.CubeGraph(_KINDS[args.family], row.k)
-                if (g.num_vertices, g.edge_count_brute()) != (row.num_vertices, row.num_edges):
-                    print(f"consistency failure at k={row.k}: counts", file=sys.stderr)
-                    return 2
+            limit = f"dimension {_VERIFY_MAX_N}"
+            small = [r for r in table.rows if r.k <= _VERIFY_MAX_N]
+            graphs = (cube.CubeGraph(_KINDS[args.family], r.k) for r in small)
+            brute = [(g.num_vertices, g.edge_count_brute()) for g in graphs]
         elif args.family == "power":
+            limit = f"{_VERIFY_MAX_VERTICES} vertices"
+            small = [r for r in table.rows if r.num_vertices <= _VERIFY_MAX_VERTICES]
             base = density.ExplicitGraph.from_cube(cube.CubeGraph(WordClass.FIBONACCI, args.base_n))
-            for row in table.rows:
-                if row.num_vertices > 5000:
-                    continue
-                g = density.cartesian_power(base, row.k)
-                if (g.num_vertices, g.num_edges) != (row.num_vertices, row.num_edges):
-                    print(f"consistency failure at k={row.k}: counts", file=sys.stderr)
-                    return 2
+            graphs = (density.cartesian_power(base, r.k) for r in small)
+            brute = [(g.num_vertices, g.num_edges) for g in graphs]
         else:
             raise _UsageError(f"--verify has no independent route for family {args.family}")
+        n_rows, n_small = len(table.rows), len(small)
+        print(f"checked {n_small} of {n_rows} rows; skipped {n_rows - n_small} above {limit}", file=sys.stderr)
+        if not small:
+            raise _UsageError(f"--verify found no row at or below {limit} to check")
+        for r, counts in zip(small, brute):
+            if not _agree(f"k={r.k}", "counts", closed=(r.num_vertices, r.num_edges), brute=counts):
+                return 2
     rows = [
         [str(r.k), str(r.num_vertices), str(r.num_edges), format_significant(r.rho, args.digits)]
         for r in table.rows
@@ -411,7 +401,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_tree_print)
 
     p = sub.add_parser("density", help="hypercube density along a family")
-    p.add_argument("--family", choices=("fib", "lucas", "skk", "cycles", "power"), required=True)
+    p.add_argument("--family", choices=tuple(_DENSITY_FAMILIES), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--base-n", type=int, default=None, help="base cube dimension for --family power")
     p.add_argument("--step", type=int, default=None, help="sample every STEP indices (default: k/200)")

@@ -88,13 +88,7 @@ class CubeGraph:
 
     def edge_count_brute(self) -> int:
         """Number of edges by direct enumeration (each counted once)."""
-        index = self._index
-        count = 0
-        for b in self._bits:
-            for j in range(self.n):
-                if not (b >> j) & 1 and (b | (1 << j)) in index:
-                    count += 1
-        return count
+        return sum(map(len, self._adjacency())) // 2
 
     def bfs_levels(self, source_index: int) -> list[int]:
         """BFS distance from one vertex to every vertex, by vertex index."""
@@ -114,35 +108,19 @@ class CubeGraph:
             frontier = nxt
         return dist
 
+    def _connected_levels(self, source_index: int) -> list[int]:
+        dist = self.bfs_levels(source_index)
+        if min(dist) < 0:
+            raise ValueError("graph is not connected")
+        return dist
+
     def distance(self, u: BitWord, v: BitWord) -> int:
         """Number of edges on a shortest path, by BFS."""
         iu, iv = self.index_of(u), self.index_of(v)
-        if iu == iv:
-            return 0
-        adj = self._adjacency()
-        dist = [-1] * len(adj)
-        dist[iu] = 0
-        frontier = [iu]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if dist[y] < 0:
-                        if y == iv:
-                            return d
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        raise ValueError("vertices lie in different components")
+        return self._connected_levels(iu)[iv]
 
     def eccentricity_bfs(self, u: BitWord) -> int:
-        dist = self.bfs_levels(self.index_of(u))
-        lo, hi = min(dist), max(dist)
-        if lo < 0:
-            raise ValueError("graph is not connected")
-        return hi
+        return max(self._connected_levels(self.index_of(u)))
 
     def eccentricity_hamming(self, u: BitWord) -> int:
         """Largest Hamming distance from u to any vertex."""
@@ -157,13 +135,7 @@ class CubeGraph:
         popcount), or "fast" (suffix recursion, Fibonacci cubes only).
         """
         if method == "bfs":
-            out = []
-            for i in range(len(self._bits)):
-                dist = self.bfs_levels(i)
-                if min(dist) < 0:
-                    raise ValueError("graph is not connected")
-                out.append(max(dist))
-            return out
+            return [max(self._connected_levels(i)) for i in range(len(self._bits))]
         if method == "hamming":
             bits = self._bits
             return [max((b ^ c).bit_count() for c in bits) for b in bits]
@@ -305,34 +277,30 @@ def weight_count_brute(n: int, i: int, chi: int, kind: WordClass) -> int:
     return sum(1 for b in enumerate_bits(n, kind) if (b >> shift) & 1 == chi)
 
 
-def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
-    """Mean over positions of (#words with 0 there) / (#words with 1 there).
+def _weight_ratios(n: int, kind: WordClass):
+    """Per position, (#words with 0 there) / (#words with 1 there), exact.
 
-    Exact. The length-1 Lucas cube has no word with a 1 anywhere, so the
-    ratio is undefined there.
+    Validates at the call; the length-1 Lucas cube has no word with a 1
+    anywhere, so the ratios are undefined there.
     """
     _require_kind(kind)
     if n < 1:
         raise ValueError("weight ratios need n >= 1")
     if kind is WordClass.LUCAS and n == 1:
         raise ValueError("undefined for the length-1 Lucas cube: no word has a 1")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += Fraction(weight_count(n, i, 0, kind), weight_count(n, i, 1, kind))
-    return total / n
+    return (
+        Fraction(weight_count(n, i, 0, kind), weight_count(n, i, 1, kind))
+        for i in range(1, n + 1)
+    )
+
+
+def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
+    """Mean over positions of (#words with 0 there) / (#words with 1 there). Exact."""
+    return sum(_weight_ratios(n, kind), Fraction(0)) / n
 
 
 def weight_ratio_average_decimal(n: int, kind: WordClass):
     """Same mean at package precision; preferred for large n, where the
     exact rational's denominator grows out of hand."""
-    _require_kind(kind)
-    if n < 1:
-        raise ValueError("weight ratios need n >= 1")
-    if kind is WordClass.LUCAS and n == 1:
-        raise ValueError("undefined for the length-1 Lucas cube: no word has a 1")
     with localcontext(_CTX):
-        total = sum(
-            to_decimal(Fraction(weight_count(n, i, 0, kind), weight_count(n, i, 1, kind)))
-            for i in range(1, n + 1)
-        )
-        return total / n
+        return sum(map(to_decimal, _weight_ratios(n, kind))) / n

@@ -65,18 +65,9 @@ class ExplicitGraph:
 
     @classmethod
     def from_cube(cls, g: CubeGraph) -> "ExplicitGraph":
-        bits = g.vertex_bits
-        index = {b: i for i, b in enumerate(bits)}
-        edges = []
-        for i, b in enumerate(bits):
-            for j in range(g.n):
-                if not (b >> j) & 1:
-                    k = index.get(b | (1 << j))
-                    if k is not None:
-                        edges.append((i, k))
-        edges.sort()
-        verts = tuple(BitWord(g.n, b) for b in bits)
-        return cls(verts, tuple(edges))
+        # neighbour lists are sorted, so the edges come out sorted
+        edges = tuple((i, j) for i, nbrs in enumerate(g._adjacency()) for j in nbrs if i < j)
+        return cls(tuple(g.words()), edges)
 
     @classmethod
     def hypercube(cls, k: int) -> "ExplicitGraph":

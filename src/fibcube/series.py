@@ -111,10 +111,6 @@ class BiSeries:
         """Coefficients in x after substituting y = 1."""
         return [sum(row, _ZERO) for row in self.coeff]
 
-    def x_coefficients(self) -> list[Fraction]:
-        """Coefficients of a series that does not involve y (max_y may exceed 0)."""
-        return self.eval_y1()
-
 
 def expand_rational(
     num: dict[tuple[int, int], int | Fraction] | BiSeries,
@@ -150,62 +146,46 @@ def _histograms(series: BiSeries, max_n: int) -> list[EccHistogram]:
     return out
 
 
+# Eccentricity generating functions, as written in the docstrings of
+# fibonacci_ecc_gf and lucas_ecc_gf: per kind, the sum of the listed
+# numerator/denominator pairs, each polynomial {(i, j): coeff of x^i y^j}.
+_FIB_DEN = {(0, 0): 1, (1, 1): -1, (2, 1): -1}
+_ECC_GF = {
+    WordClass.FIBONACCI: [({(0, 0): 1, (1, 1): 1}, _FIB_DEN)],
+    WordClass.LUCAS: [
+        ({(0, 0): 1, (2, 1): 1}, _FIB_DEN),
+        ({(0, 0): 1}, {(0, 0): 1, (1, 1): 1}),
+        ({(0, 0): -1, (1, 0): 1}, {(0, 0): 1, (2, 1): -1}),
+    ],
+}
+
+
+def _ecc_series(max_n: int, kind: WordClass) -> BiSeries:
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    if kind not in _ECC_GF:
+        raise ValueError("eccentricity series exist for the Fibonacci and Lucas kinds only")
+    terms = [expand_rational(num, den, max_n, max_n) for num, den in _ECC_GF[kind]]
+    return sum(terms[1:], terms[0])
+
+
 def fibonacci_ecc_gf(max_n: int) -> list[EccHistogram]:
     """Eccentricity histograms of the Fibonacci cubes for n = 0..max_n,
     read off the series (1 + xy) / (1 - xy - x^2 y)."""
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    series = expand_rational(
-        {(0, 0): 1, (1, 1): 1},
-        {(0, 0): 1, (1, 1): -1, (2, 1): -1},
-        max_n,
-        max_n,
-    )
-    return _histograms(series, max_n)
+    return _histograms(_ecc_series(max_n, WordClass.FIBONACCI), max_n)
 
 
 def lucas_ecc_gf(max_n: int) -> list[EccHistogram]:
     """Eccentricity histograms of the Lucas cubes for n = 0..max_n, from
     (1 + x^2 y)/(1 - xy - x^2 y) + 1/(1 + xy) - (1 - x)/(1 - x^2 y).
 
-    Histograms for n >= 2 match brute force; the n <= 1 entries are
-    reported as extracted, without any claim.
+    Every row matches BFS, the single-vertex cubes at n = 0 and 1
+    included: both read {0: 1}.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    t1 = expand_rational(
-        {(0, 0): 1, (2, 1): 1},
-        {(0, 0): 1, (1, 1): -1, (2, 1): -1},
-        max_n,
-        max_n,
-    )
-    t2 = expand_rational({(0, 0): 1}, {(0, 0): 1, (1, 1): 1}, max_n, max_n)
-    t3 = expand_rational({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (2, 1): -1}, max_n, max_n)
-    return _histograms(t1 + t2 - t3, max_n)
+    return _histograms(_ecc_series(max_n, WordClass.LUCAS), max_n)
 
 
 def ecc_sum_from_gf(max_n: int, kind: WordClass) -> list[int]:
     """Eccentricity sums e(0)..e(max_n) via the formal y-derivative of the
     generating function evaluated at y = 1."""
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    if kind is WordClass.FIBONACCI:
-        series = expand_rational(
-            {(0, 0): 1, (1, 1): 1},
-            {(0, 0): 1, (1, 1): -1, (2, 1): -1},
-            max_n,
-            max_n,
-        )
-    elif kind is WordClass.LUCAS:
-        t1 = expand_rational(
-            {(0, 0): 1, (2, 1): 1},
-            {(0, 0): 1, (1, 1): -1, (2, 1): -1},
-            max_n,
-            max_n,
-        )
-        t2 = expand_rational({(0, 0): 1}, {(0, 0): 1, (1, 1): 1}, max_n, max_n)
-        t3 = expand_rational({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (2, 1): -1}, max_n, max_n)
-        series = t1 + t2 - t3
-    else:
-        raise ValueError("eccentricity series exist for the Fibonacci and Lucas kinds only")
-    return [_coeff_int(c) for c in series.d_dy().eval_y1()]
+    return [_coeff_int(c) for c in _ecc_series(max_n, kind).d_dy().eval_y1()]

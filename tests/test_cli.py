@@ -6,7 +6,7 @@ import sys
 from decimal import Decimal
 
 
-from fibcube.cli import format_significant, run
+from fibcube.cli import _agree, format_significant, run
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -85,7 +85,14 @@ def test_ecc_hist_verify_paths(capsys):
     code, _ = capture(capsys, ["ecc-hist", "--kind", "lucas", "--n", "4", "--method", "gf", "--verify"])
     assert code == 0
     code, _ = capture(capsys, ["ecc-hist", "--kind", "lucas", "--n", "1", "--method", "bfs", "--verify"])
-    assert code == 0  # series row for the degenerate cube is skipped, not compared
+    assert code == 0  # the single-vertex cube: BFS and the series both give {0: 1}
+
+
+def test_disagreeing_routes_are_reported(capsys):
+    assert _agree("n=3", "edges", brute=7, closed=7)
+    assert capsys.readouterr().err == ""
+    assert not _agree("n=3", "edges", brute=7, closed=8, gf=7)
+    assert capsys.readouterr().err == "consistency failure at n=3: edges brute=7 closed=8 gf=7\n"
 
 
 def test_weights_golden(capsys):
@@ -167,6 +174,28 @@ def test_density_power_verify(capsys):
     assert rows[4][1] == str(5**5)
     first = Decimal(rows[0][3])
     assert all(abs(Decimal(r[3]) - first) < Decimal("1e-11") for r in rows)
+
+
+def test_density_verify_reports_rows_checked(capsys):
+    argv = ["density", "--family", "power", "--base-n", "3", "--k", "6"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert run(argv + ["--verify"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert captured.err == "checked 5 of 6 rows; skipped 1 above 5000 vertices\n"
+
+
+def test_density_verify_with_no_checkable_row_is_a_usage_error(capsys):
+    for argv in (
+        ["density", "--family", "fib", "--k", "20000", "--verify"],
+        ["density", "--family", "power", "--base-n", "10", "--k", "1000", "--verify"],
+    ):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("checked 0 of 200 rows; skipped 200 above "), argv
+        assert "error: --verify found no row" in captured.err
 
 
 def test_density_cycles_and_verify_rejection(capsys):

@@ -202,7 +202,7 @@ def test_histogram_totals_and_sums_up_to_16():
             assert hist.ecc_sum() == ecc_sum_closed(n, FIB)
     for n in range(1, 13):
         hist = CubeGraph(LUC, n).ecc_histogram("hamming")
-        assert hist.total() == lucas(n) if n >= 1 else 1
+        assert hist.total() == lucas(n)
         assert hist.ecc_sum() == ecc_sum_closed(n, LUC)
 
 
