@@ -168,7 +168,7 @@ def _cmd_ecc_hist(args) -> int:
 
     hist = by_method(args.method)
     if args.verify:
-        methods = ["bfs", "gf", "fast"] if kind is WordClass.FIBONACCI else ["bfs", "gf"]
+        methods = ["bfs", "gf", "hamming"] + (["fast"] if kind is WordClass.FIBONACCI else [])
         results = {m: (hist if m == args.method else by_method(m)).counts for m in methods}
         if not _agree(f"n={n}", "histogram", **results):
             return 2

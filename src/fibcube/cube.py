@@ -4,8 +4,11 @@ Vertices are the words of the chosen class; two vertices are adjacent
 when they differ in precisely one position. Adjacency is derived on the
 fly (flip one bit, test membership), which keeps memory linear in the
 vertex count. BFS is the implementation of record for distances; the
-Hamming shortcut and the one-pass suffix recursion are separate routes
-that the test suite plays against it.
+Hamming route and the one-pass suffix recursion are separate routes
+that the test suite plays against it. Both families are isometric
+subgraphs of the hypercube, so the Hamming route takes a vertex's
+eccentricity as the largest Hamming distance to a word of the class,
+found by a DP over the class's automaton in O(n) per vertex.
 """
 
 from __future__ import annotations
@@ -125,20 +128,19 @@ class CubeGraph:
     def eccentricity_hamming(self, u: BitWord) -> int:
         """Largest Hamming distance from u to any vertex."""
         self.index_of(u)
-        b = u.bits
-        return max((b ^ c).bit_count() for c in self._bits)
+        return _farthest_word_distance(u.bits, self.n, self.word_class)
 
     def eccentricities(self, method: str = "bfs") -> list[int]:
         """Eccentricity of every vertex, aligned with ``words()``.
 
-        method: "bfs" (implementation of record), "hamming" (max XOR
-        popcount), or "fast" (suffix recursion, Fibonacci cubes only).
+        method: "bfs" (implementation of record), "hamming" (largest
+        Hamming distance to a word of the class, by a DP over the class's
+        automaton), or "fast" (suffix recursion, Fibonacci cubes only).
         """
         if method == "bfs":
             return [max(self._connected_levels(i)) for i in range(len(self._bits))]
         if method == "hamming":
-            bits = self._bits
-            return [max((b ^ c).bit_count() for c in bits) for b in bits]
+            return [_farthest_word_distance(b, self.n, self.word_class) for b in self._bits]
         if method == "fast":
             if self.word_class is not WordClass.FIBONACCI:
                 raise ValueError("the suffix recursion applies to Fibonacci cubes only")
@@ -150,6 +152,31 @@ class CubeGraph:
         for e in self.eccentricities(method):
             counts[e] = counts.get(e, 0) + 1
         return EccHistogram(self.n, dict(sorted(counts.items())))
+
+
+def _farthest_word_distance(bits: int, n: int, kind: WordClass) -> int:
+    """Largest Hamming distance from the n-bit word u, given as ``bits``,
+    to a word of the class.
+
+    A max-plus DP over positions: d0 and d1 are the most positions at
+    which u differs from a prefix of a word ending in 0 and in 1. A 1
+    may follow only a 0. Fibonacci words start as if a 0 stood before
+    them. Lucas words are read cyclically: one run per value c of the
+    final bit, started as if c stood before the first bit and required
+    to end in c.
+    """
+    if kind is WordClass.UNRESTRICTED:
+        return n
+    fib = kind is WordClass.FIBONACCI
+    unreachable = -n - 1  # stays below every score
+    best = 0
+    for c in (0,) if fib else (0, 1):
+        d0, d1 = (0, unreachable) if c == 0 else (unreachable, 0)
+        for j in range(n):
+            x = bits >> j & 1
+            d0, d1 = max(d0, d1) + x, d0 + 1 - x
+        best = max(best, max(d0, d1) if fib else (d0, d1)[c])
+    return best
 
 
 # Eccentricities on the trivial Fibonacci cubes, keyed by (length, bits).

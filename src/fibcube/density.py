@@ -9,7 +9,7 @@ product machinery used to manufacture families with prescribed density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -91,15 +91,27 @@ def rho(graph: ExplicitGraph | tuple[int, int]) -> Decimal:
 
 
 def density_lemma_check(nv: int, ne: int) -> tuple[bool, bool]:
-    """Exact check of 2*E <= V*log2(V) as the integer comparison 4**E <= V**V.
+    """Exact check of 2*E <= V*log2(V), the same as 4**E <= V**V.
 
     Returns (holds, is_equality); equality characterizes full hypercubes.
+    When V = 2**k both sides are the integers 2E and Vk. Otherwise log2 V
+    is irrational, so equality is impossible, and a Decimal interval
+    around V*log2(V), narrowed by doubling the precision, excludes 2E.
     """
     if nv < 1 or ne < 0:
         raise ValueError("need at least one vertex and a non-negative edge count")
-    lhs = 1 << (2 * ne)
-    rhs = nv**nv
-    return lhs <= rhs, lhs == rhs
+    twice_e = 2 * ne
+    if nv & (nv - 1) == 0:
+        v_log = nv * (nv.bit_length() - 1)
+        return twice_e <= v_log, twice_e == v_log
+    prec = 28
+    while True:
+        with localcontext(Context(prec=prec)):
+            x = nv * Decimal(nv).ln() / Decimal(2).ln()
+            # four correctly rounded steps leave x far inside this slack
+            if abs(twice_e - x) > x.scaleb(3 - prec):
+                return twice_e < x, False
+        prec *= 2
 
 
 def subdivided_complete(k: int) -> tuple[int, int]:

@@ -145,7 +145,11 @@ def verify_depth_eccentricity(n: int, labeling: LabelingKind = LabelingKind.THET
     """Check, for every vertex of the dimension-n Fibonacci cube, that its
     eccentricity equals the depth of the leaf carrying it in the labeled
     tree of index n+1. Leaves are visited shallowest first, so the first
-    counterexample reported is the shallowest one."""
+    counterexample reported is the shallowest one.
+
+    Eccentricities come from the Hamming route, not ``fast``: the suffix
+    recursion strips words the way the theta labeling grows them, so a
+    check against it would be circular."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     tree = build(n + 1, labeling)

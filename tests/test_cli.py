@@ -6,6 +6,7 @@ import sys
 from decimal import Decimal
 
 
+from fibcube import cube
 from fibcube.cli import _agree, format_significant, run
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -88,11 +89,18 @@ def test_ecc_hist_verify_paths(capsys):
     assert code == 0  # the single-vertex cube: BFS and the series both give {0: 1}
 
 
-def test_disagreeing_routes_are_reported(capsys):
+def test_disagreeing_routes_are_reported(capsys, monkeypatch):
     assert _agree("n=3", "edges", brute=7, closed=7)
     assert capsys.readouterr().err == ""
     assert not _agree("n=3", "edges", brute=7, closed=8, gf=7)
     assert capsys.readouterr().err == "consistency failure at n=3: edges brute=7 closed=8 gf=7\n"
+    # ecc-hist --verify lists every route, the Hamming route included
+    monkeypatch.setattr(cube, "_farthest_word_distance", lambda bits, n, kind: 0)
+    assert run(["ecc-hist", "--kind", "lucas", "--n", "4", "--verify"]) == 2
+    assert capsys.readouterr().err == (
+        "consistency failure at n=4: histogram "
+        "bfs={2: 1, 3: 4, 4: 2} gf={2: 1, 3: 4, 4: 2} hamming={0: 7}\n"
+    )
 
 
 def test_weights_golden(capsys):

@@ -257,6 +257,33 @@ def test_fast_recursion_matches_hamming_on_random_vertices(n, data):
     assert eccentricity_fast(w) == g.eccentricity_hamming(w)
 
 
+def _hamming_scan(g):
+    """Oracle: the all-pairs scan that the Hamming route's DP replaced."""
+    bits = g.vertex_bits
+    return [max((b ^ c).bit_count() for c in bits) for b in bits]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([FIB, LUC, HYP]), st.integers(min_value=0, max_value=12))
+def test_hamming_route_matches_all_pairs_scan(kind, n):
+    g = CubeGraph(kind, n)
+    scan = _hamming_scan(g)
+    assert g.eccentricities("hamming") == scan
+    assert [g.eccentricity_hamming(w) for w in g.words()] == scan
+
+
+def test_hamming_route_degenerate_and_hypercube_cases():
+    for n in (0, 1):  # the single-vertex Lucas cubes
+        g = CubeGraph(LUC, n)
+        assert g.eccentricities("hamming") == [0]
+        assert g.eccentricity_hamming(BitWord(n, 0)) == 0
+    for n in range(0, 11):
+        g = CubeGraph(HYP, n)
+        assert g.eccentricities("hamming") == [n] * 2**n
+    with pytest.raises(ValueError):
+        CubeGraph(LUC, 3).eccentricity_hamming(W("101"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=14),

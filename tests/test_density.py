@@ -64,6 +64,27 @@ def test_density_lemma_exact_check():
     assert density_lemma_check(8, 13) == (False, False)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(min_value=1, max_value=199), st.integers(0, 7).map(lambda k: 1 << k)),
+    st.data(),
+)
+def test_density_lemma_matches_integer_powers(nv, data):
+    ne = data.draw(st.integers(min_value=0, max_value=10 * nv))
+    lhs, rhs = 4**ne, nv**nv
+    assert density_lemma_check(nv, ne) == (lhs <= rhs, lhs == rhs)
+
+
+def test_density_lemma_at_the_boundary():
+    # the largest E with 4**E <= V**V, and one more, for every V < 200
+    for nv in range(1, 200):
+        rhs = nv**nv
+        top = (rhs.bit_length() - 1) // 2
+        for ne in (top, top + 1):
+            lhs = 4**ne
+            assert density_lemma_check(nv, ne) == (lhs <= rhs, lhs == rhs), (nv, ne)
+
+
 def test_density_lemma_on_everything_built_here():
     graphs = [fib_graph(n) for n in range(1, 11)]
     graphs += [lucas_graph(n) for n in range(1, 11)]
