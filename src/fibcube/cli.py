@@ -8,6 +8,7 @@ cross-check finds an inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -30,6 +31,9 @@ _RHO_SCALE = 10000
 _VERIFY_MAX_N = 16
 # and so do explicit Cartesian powers, by their vertex count
 _VERIFY_MAX_VERTICES = 5000
+# ecc-hist caps on --n; gf at its cap: ~0.5 s and 37 MB for --kind lucas
+_ECC_HIST_MAX_N = 30
+_GF_MAX_N = 500
 
 
 class _UsageError(Exception):
@@ -151,10 +155,12 @@ def _cmd_ecc_hist(args) -> int:
         raise _UsageError("--method fast applies to --kind fib only")
     if args.method == "bfs" and n > _VERIFY_MAX_N:
         raise _UsageError(f"--method bfs enumerates every vertex; use --n <= {_VERIFY_MAX_N}")
-    if n > 30:
-        raise _UsageError("--n must be <= 30")
+    cap = _GF_MAX_N if args.method == "gf" else _ECC_HIST_MAX_N
+    if n > cap:
+        raise _UsageError(f"--n must be <= {_ECC_HIST_MAX_N}, or <= {_GF_MAX_N} with --method gf")
     if args.verify and n > _VERIFY_MAX_N:
         raise _UsageError(f"--verify needs --n <= {_VERIFY_MAX_N}")
+    graph = functools.cache(lambda: cube.CubeGraph(kind, n))
 
     def by_method(method: str) -> cube.EccHistogram:
         if method == "gf":
@@ -164,7 +170,7 @@ def _cmd_ecc_hist(args) -> int:
                 else series.lucas_ecc_gf(n)
             )
             return table[n]
-        return cube.CubeGraph(kind, n).ecc_histogram(method)
+        return graph().ecc_histogram(method)
 
     hist = by_method(args.method)
     if args.verify:

@@ -2,7 +2,9 @@
 
 These carry the eccentricity generating functions, so vertex counts per
 eccentricity come out of plain series arithmetic with no graph
-enumeration at all. Coefficients are ``Fraction``; truncation orders are
+enumeration at all. Coefficients are exact rationals, kept as ints
+where exact. Division runs over the denominator's nonzero terms, and
+multiplication over those of the sparser operand. Truncation orders are
 explicit and binary operations truncate to the smaller order of the two
 operands.
 """
@@ -15,8 +17,6 @@ from fractions import Fraction
 from .cube import EccHistogram
 from .words import WordClass
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class BiSeries:
@@ -24,25 +24,30 @@ class BiSeries:
 
     max_x: int
     max_y: int
-    coeff: tuple[tuple[Fraction, ...], ...]
+    coeff: tuple[tuple[int | Fraction, ...], ...]
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int], int | Fraction], max_x: int, max_y: int) -> "BiSeries":
-        grid = [[_ZERO] * (max_y + 1) for _ in range(max_x + 1)]
+        grid = [[0] * (max_y + 1) for _ in range(max_x + 1)]
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError("exponents must be >= 0")
             if i <= max_x and j <= max_y:
-                grid[i][j] = Fraction(c)
+                grid[i][j] = c
         return cls(max_x, max_y, tuple(tuple(row) for row in grid))
 
-    def get(self, i: int, j: int) -> Fraction:
+    def get(self, i: int, j: int) -> int | Fraction:
         if 0 <= i <= self.max_x and 0 <= j <= self.max_y:
             return self.coeff[i][j]
-        return _ZERO
+        return 0
 
     def _common_orders(self, other: "BiSeries") -> tuple[int, int]:
         return min(self.max_x, other.max_x), min(self.max_y, other.max_y)
+
+    def _terms(self, mx: int, my: int) -> list[tuple[int, int, int | Fraction]]:
+        """The nonzero terms (i, j, c) with i <= mx and j <= my."""
+        rows = enumerate(self.coeff[: mx + 1])
+        return [(i, j, c) for i, row in rows for j, c in enumerate(row[: my + 1]) if c]
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         mx, my = self._common_orders(other)
@@ -60,56 +65,50 @@ class BiSeries:
         return self + (-other)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
+        """Shifted copies of one operand, one per nonzero term of the sparser one."""
         mx, my = self._common_orders(other)
-        a, b = self.coeff, other.coeff
-        grid = []
-        for i in range(mx + 1):
-            row = []
-            for j in range(my + 1):
-                s = _ZERO
-                for p in range(i + 1):
-                    ap = a[p]
-                    bq = b[i - p]
-                    for q in range(j + 1):
-                        if ap[q] and bq[j - q]:
-                            s += ap[q] * bq[j - q]
-                row.append(s)
-            grid.append(tuple(row))
-        return BiSeries(mx, my, tuple(grid))
+        mine, theirs = self._terms(mx, my), other._terms(mx, my)
+        terms, b = (mine, other.coeff) if len(mine) <= len(theirs) else (theirs, self.coeff)
+        grid = [[0] * (my + 1) for _ in range(mx + 1)]
+        for p, r, c in terms:
+            for i in range(p, mx + 1):
+                row = grid[i]
+                row[r:] = [g + c * v for g, v in zip(row[r:], b[i - p])]
+        return BiSeries(mx, my, tuple(tuple(row) for row in grid))
 
     def __truediv__(self, den: "BiSeries") -> "BiSeries":
-        """Long division; the denominator needs a nonzero constant term."""
+        """Long division, q[i][j] = (a[i][j] - sum of c * q[i-p][j-r]) / c0, over
+        the denominator's nonzero terms c x^p y^r but its constant c0 != 0."""
         c0 = den.get(0, 0)
         if c0 == 0:
             raise ZeroDivisionError("denominator has zero constant term")
         mx, my = self._common_orders(den)
-        d = den.coeff
-        q: list[list[Fraction]] = [[_ZERO] * (my + 1) for _ in range(mx + 1)]
-        for i in range(mx + 1):
+        terms = [t for t in den._terms(mx, my) if t[:2] != (0, 0)]
+        q = [list(row[: my + 1]) for row in self.coeff[: mx + 1]]
+        for i, row in enumerate(q):
+            earlier = [(q[i - p], r, c) for p, r, c in terms if p <= i]
             for j in range(my + 1):
-                s = self.coeff[i][j]
-                for p in range(i + 1):
-                    qp = q[p]
-                    dp = d[i - p]
-                    for r in range(j + 1):
-                        if (p, r) != (i, j) and qp[r] and dp[j - r]:
-                            s -= qp[r] * dp[j - r]
-                q[i][j] = s / c0
+                s = row[j]
+                for qp, r, c in earlier:
+                    if r <= j:
+                        s -= c * qp[j - r]
+                quot, rem = divmod(s, c0)
+                row[j] = quot if rem == 0 else Fraction(s, c0)
         return BiSeries(mx, my, tuple(tuple(row) for row in q))
 
     def d_dy(self) -> "BiSeries":
         """Formal partial derivative in y; the y-order drops by one."""
         if self.max_y == 0:
-            return BiSeries(self.max_x, 0, tuple((_ZERO,) for _ in range(self.max_x + 1)))
+            return BiSeries(self.max_x, 0, tuple((0,) for _ in range(self.max_x + 1)))
         grid = tuple(
             tuple((j + 1) * self.coeff[i][j + 1] for j in range(self.max_y))
             for i in range(self.max_x + 1)
         )
         return BiSeries(self.max_x, self.max_y - 1, grid)
 
-    def eval_y1(self) -> list[Fraction]:
+    def eval_y1(self) -> list[int | Fraction]:
         """Coefficients in x after substituting y = 1."""
-        return [sum(row, _ZERO) for row in self.coeff]
+        return [sum(row) for row in self.coeff]
 
 
 def expand_rational(
@@ -126,7 +125,7 @@ def expand_rational(
     return num / den
 
 
-def _coeff_int(c: Fraction) -> int:
+def _coeff_int(c: int | Fraction) -> int:
     if c.denominator != 1:
         raise ArithmeticError(f"expected an integer coefficient, got {c}")
     return c.numerator
@@ -160,12 +159,16 @@ _ECC_GF = {
 }
 
 
-def _ecc_series(max_n: int, kind: WordClass) -> BiSeries:
+def _ecc_pairs(max_n: int, kind: WordClass) -> list[tuple[dict, dict]]:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if kind not in _ECC_GF:
         raise ValueError("eccentricity series exist for the Fibonacci and Lucas kinds only")
-    terms = [expand_rational(num, den, max_n, max_n) for num, den in _ECC_GF[kind]]
+    return _ECC_GF[kind]
+
+
+def _ecc_series(max_n: int, kind: WordClass) -> BiSeries:
+    terms = [expand_rational(num, den, max_n, max_n) for num, den in _ecc_pairs(max_n, kind)]
     return sum(terms[1:], terms[0])
 
 
@@ -185,7 +188,22 @@ def lucas_ecc_gf(max_n: int) -> list[EccHistogram]:
     return _histograms(_ecc_series(max_n, WordClass.LUCAS), max_n)
 
 
+def _at_y1(poly: dict[tuple[int, int], int], max_n: int) -> tuple[BiSeries, BiSeries]:
+    """poly(x, 1) and its y-derivative at y = 1, as series in x alone."""
+    p, p_y = {}, {}
+    for (i, j), c in poly.items():
+        p[i, 0] = p.get((i, 0), 0) + c
+        p_y[i, 0] = p_y.get((i, 0), 0) + j * c
+    return BiSeries.from_terms(p, max_n, 0), BiSeries.from_terms(p_y, max_n, 0)
+
+
 def ecc_sum_from_gf(max_n: int, kind: WordClass) -> list[int]:
-    """Eccentricity sums e(0)..e(max_n) via the formal y-derivative of the
-    generating function evaluated at y = 1."""
-    return [_coeff_int(c) for c in _ecc_series(max_n, kind).d_dy().eval_y1()]
+    """Eccentricity sums e(0)..e(max_n), the generating function's y-derivative
+    at y = 1: per pair N/D, F = N/D and F_y = (N_y - F D_y) / D at y = 1, all
+    series in x alone."""
+    total = BiSeries.from_terms({}, max_n, 0)
+    for num, den in _ecc_pairs(max_n, kind):
+        (n1, n_y), (d1, d_y) = _at_y1(num, max_n), _at_y1(den, max_n)
+        f = expand_rational(n1, d1, max_n, 0)
+        total += expand_rational(n_y - f * d_y, d1, max_n, 0)
+    return [_coeff_int(c) for c in total.eval_y1()]

@@ -89,6 +89,42 @@ def test_ecc_hist_verify_paths(capsys):
     assert code == 0  # the single-vertex cube: BFS and the series both give {0: 1}
 
 
+def test_ecc_hist_gf_cap(capsys):
+    from fibcube.cli import _GF_MAX_N, _KINDS
+
+    for kind in ("fib", "lucas"):
+        code, out = capture(
+            capsys, ["ecc-hist", "--kind", kind, "--n", str(_GF_MAX_N), "--method", "gf", "--format", "csv"]
+        )
+        assert code == 0
+        rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[1:]]
+        assert sum(c for _, c in rows) == cube.vertex_count(_GF_MAX_N, _KINDS[kind])
+        assert sum(k * c for k, c in rows) == cube.ecc_sum_closed(_GF_MAX_N, _KINDS[kind])
+        assert run(["ecc-hist", "--kind", kind, "--n", str(_GF_MAX_N + 1), "--method", "gf"]) == 1
+        assert capsys.readouterr().err == f"error: --n must be <= 30, or <= {_GF_MAX_N} with --method gf\n"
+    # the enumerating routes keep their caps
+    assert run(["ecc-hist", "--kind", "fib", "--n", "31", "--method", "fast"]) == 1
+    assert run(["ecc-hist", "--kind", "fib", "--n", "17", "--method", "bfs"]) == 1
+    assert run(["ecc-hist", "--kind", "fib", "--n", "17", "--method", "gf", "--verify"]) == 1
+    capsys.readouterr()
+
+
+def test_ecc_hist_verify_builds_one_graph(capsys, monkeypatch):
+    built = []
+
+    class CountingGraph(cube.CubeGraph):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cube, "CubeGraph", CountingGraph)
+    assert run(["ecc-hist", "--kind", "fib", "--n", "5", "--method", "gf"]) == 0
+    assert built == []
+    assert run(["ecc-hist", "--kind", "fib", "--n", "5", "--method", "gf", "--verify"]) == 0
+    assert len(built) == 1  # shared by bfs, hamming and fast
+    capsys.readouterr()
+
+
 def test_disagreeing_routes_are_reported(capsys, monkeypatch):
     assert _agree("n=3", "edges", brute=7, closed=7)
     assert capsys.readouterr().err == ""

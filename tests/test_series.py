@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibcube.cube import CubeGraph, ecc_sum_closed
+from fibcube.cube import CubeGraph, ecc_sum_closed, vertex_count
 from fibcube.series import (
     BiSeries,
+    _ecc_series,
     ecc_sum_from_gf,
     expand_rational,
     fibonacci_ecc_gf,
@@ -31,6 +32,22 @@ def uni(terms, order=ORDER):
     return BiSeries.from_terms({(i, 0): c for i, c in terms.items()}, order, 0)
 
 
+def _dense_divide(num: BiSeries, den: BiSeries) -> BiSeries:
+    """Test oracle: long division summing over every earlier coefficient."""
+    c0 = den.get(0, 0)
+    mx, my = min(num.max_x, den.max_x), min(num.max_y, den.max_y)
+    q = [[Fraction(0)] * (my + 1) for _ in range(mx + 1)]
+    for i in range(mx + 1):
+        for j in range(my + 1):
+            s = Fraction(num.coeff[i][j])
+            for p in range(i + 1):
+                for r in range(j + 1):
+                    if (p, r) != (i, j):
+                        s -= q[p][r] * den.get(i - p, j - r)
+            q[i][j] = s / c0
+    return BiSeries(mx, my, tuple(tuple(row) for row in q))
+
+
 def test_geometric_series():
     s = expand_rational({(0, 0): 1}, {(0, 0): 1, (1, 0): -1}, 5, 0)
     assert s.eval_y1() == [1, 1, 1, 1, 1, 1]
@@ -52,7 +69,7 @@ def test_bivariate_coefficient_example():
 
 
 def test_zero_constant_term_rejected():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="zero constant term"):
         expand_rational({(0, 0): 1}, {(1, 0): 1}, 4, 0)
 
 
@@ -199,3 +216,54 @@ def test_division_inverts_multiplication(data):
     a = BiSeries.from_terms(a_terms, order, order)
     b = BiSeries.from_terms(b_terms, order, order)
     assert ((a * b) / b).coeff == a.coeff
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_division_matches_dense_oracle(data):
+    # sparse denominators with rows left empty and constant terms that
+    # need not be units, so some quotients are inexact
+    mx, my = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    coeffs = st.integers(min_value=-5, max_value=5)
+    num_terms = data.draw(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), coeffs, max_size=12))
+    den_terms = data.draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs, max_size=4))
+    den_terms[(0, 0)] = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(2, 3)]))
+    num = BiSeries.from_terms(num_terms, mx, my)
+    den = BiSeries.from_terms(den_terms, data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8)))
+    q = num / den
+    assert q.coeff == _dense_divide(num, den).coeff
+    assert (q.max_x, q.max_y) == (min(mx, den.max_x), min(my, den.max_y))
+
+
+def test_unit_constant_term_keeps_int_coefficients():
+    for c0 in (1, -1):
+        q = expand_rational({(0, 0): 3, (1, 2): -7}, {(0, 0): c0, (1, 1): -1, (3, 0): 2}, 12, 12)
+        assert all(type(c) is int for row in q.coeff for c in row)
+    assert all(type(c) is int for row in (uni({0: 1, 1: 2}) * uni(DEN)).coeff for c in row)
+    # an inexact division gives Fractions, and only where it is inexact
+    q = expand_rational({(0, 0): 4, (1, 0): 1}, {(0, 0): 2}, 1, 0)
+    assert [type(c) for c in q.eval_y1()] == [int, Fraction]
+    assert q.eval_y1() == [2, Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_histograms_to_60_match_closed_forms(kind):
+    hists = (fibonacci_ecc_gf if kind is FIB else lucas_ecc_gf)(60)
+    for n, h in enumerate(hists):
+        assert h.total() == vertex_count(n, kind), n
+        if n >= 1 or kind is FIB:
+            assert h.ecc_sum() == ecc_sum_closed(n, kind), n
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+@pytest.mark.parametrize("max_n", [0, 1, 2, 3, 17, 40])
+def test_univariate_sums_match_bivariate_derivative(kind, max_n):
+    assert ecc_sum_from_gf(max_n, kind) == _ecc_series(max_n, kind).d_dy().eval_y1()
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_ecc_sums_match_closed_forms_to_1000(kind):
+    sums = ecc_sum_from_gf(1000, kind)
+    assert len(sums) == 1001
+    start = 0 if kind is FIB else 1  # the Lucas closed form starts at n = 1
+    assert sums[start:] == [ecc_sum_closed(n, kind) for n in range(start, 1001)]
