@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import cube, density, fibtree, series
 from .numeric import _CTX, fibonacci, sqrt5, to_decimal
-from .words import WordClass, enumerate_words
+from .words import WordClass, word_blocks
 
 _KINDS = {"fib": WordClass.FIBONACCI, "lucas": WordClass.LUCAS, "hyper": WordClass.UNRESTRICTED}
 
@@ -67,8 +68,8 @@ def _agree(at: str, what: str, **routes) -> bool:
     return False
 
 
-def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _emit(lines: Iterable[str]) -> None:
+    sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _table(header: list[str], rows: list[list[str]], fmt: str, left: frozenset[int] = frozenset()) -> list[str]:
@@ -88,23 +89,19 @@ def _table(header: list[str], rows: list[list[str]], fmt: str, left: frozenset[i
     return lines
 
 
-def _word_str(w, fmt: str) -> str:
-    s = str(w)
-    if not s:
-        return "" if fmt == "csv" else "ε"
-    return s
-
-
 def _cmd_enumerate(args) -> int:
     kind = _KINDS[args.kind]
     cap = 20 if kind is WordClass.UNRESTRICTED else 30
     if not 0 <= args.n <= cap:
         raise _UsageError(f"--n must lie in 0..{cap} for kind {args.kind}")
-    ws = enumerate_words(args.n, kind)
-    if args.format == "csv":
-        _emit(["word"] + [_word_str(w, "csv") for w in ws])
-    else:
-        _emit([_word_str(w, "text") for w in ws])
+    k, suffix_lists, blocks = word_blocks(args.n, kind)
+    m = args.n - k
+    # each suffix list is rendered once; k = 0 only for the empty word
+    empty = "" if args.format == "csv" else "ε"
+    texts = [[format(s, f"0{k}b") for s in ss] if k else [empty] for ss in suffix_lists]
+    prefixes = ((format(p, f"0{m}b") if m else "", j) for p, j in blocks)
+    lines = (pre + ("\n" + pre).join(texts[j]) for pre, j in prefixes)
+    _emit(itertools.chain(["word"], lines) if args.format == "csv" else lines)
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import localcontext
 from fractions import Fraction
+from functools import cached_property
 
 from .numeric import _CTX, fibonacci, fibonacci_pair, lucas, to_decimal
 from .words import BitWord, WordClass, enumerate_bits, is_fibonacci
@@ -47,8 +48,11 @@ class CubeGraph:
         self.word_class = word_class
         self.n = n
         self._bits = enumerate_bits(n, word_class)
-        self._index = {b: i for i, b in enumerate(self._bits)}
         self._adj: list[list[int]] | None = None
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {b: i for i, b in enumerate(self._bits)}
 
     @property
     def num_vertices(self) -> int:
@@ -144,7 +148,7 @@ class CubeGraph:
         if method == "fast":
             if self.word_class is not WordClass.FIBONACCI:
                 raise ValueError("the suffix recursion applies to Fibonacci cubes only")
-            return [eccentricity_fast(BitWord(self.n, b)) for b in self._bits]
+            return [_stripped_ecc(self.n, b) for b in self._bits]
         raise ValueError(f"unknown eccentricity method {method!r}")
 
     def ecc_histogram(self, method: str = "bfs") -> EccHistogram:
@@ -191,7 +195,11 @@ def eccentricity_fast(w: BitWord) -> int:
     """
     if not is_fibonacci(w):
         raise ValueError(f"{w!s} has adjacent 1s")
-    n, bits, steps = w.n, w.bits, 0
+    return _stripped_ecc(w.n, w.bits)
+
+
+def _stripped_ecc(n: int, bits: int) -> int:
+    steps = 0
     while n > 2:
         if bits & 3 == 0:
             n -= 2

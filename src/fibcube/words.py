@@ -3,13 +3,15 @@
 A word of length n is written b1...bn with b1 the leftmost symbol; the
 integer encoding keeps b1 as the most significant bit, so numeric order
 on equal-length words is exactly lexicographic order with 0 < 1.
+Enumeration runs in lexicographic blocks, a prefix followed by each
+allowed suffix, so a consumer that streams them holds one block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from typing import Iterator
 
 
 class WordClass(Enum):
@@ -80,27 +82,48 @@ def is_lucas(w: BitWord) -> bool:
     return _lucas_bits(w.n, w.bits)
 
 
-@lru_cache(maxsize=None)
-def _fibonacci_words(n: int) -> tuple[int, ...]:
-    # Lexicographic: "0" + (length n-1 words) precedes "10" + (length n-2 words).
-    if n == 0:
-        return (0,)
-    if n == 1:
-        return (0, 1)
-    top = 1 << (n - 1)
-    return _fibonacci_words(n - 1) + tuple(top | b for b in _fibonacci_words(n - 2))
+# Suffix length of an enumeration block: every word of length n is a
+# prefix of n - k bits followed by a suffix of k = min(n, _BLOCK) bits.
+_BLOCK = 14
+
+
+def word_blocks(n: int, word_class: WordClass) -> tuple[int, tuple, Iterator[tuple[int, int]]]:
+    """The words of the class and length n as ``(k, suffix_lists, blocks)``.
+
+    ``blocks`` yields ``(prefix, j)`` in order, and the block's words are
+    the prefix followed by each suffix in ``suffix_lists[j]``. A prefix
+    ending in 1 takes only suffixes starting with 0, and a Lucas prefix
+    starting with 1 only those ending in 0: j is its last bit plus twice
+    its first.
+    """
+    if n < 0:
+        raise ValueError("word length must be >= 0")
+    k = min(n, _BLOCK)
+    m = n - k
+    if word_class is WordClass.UNRESTRICTED:
+        return k, (range(1 << k),), ((p, 0) for p in range(1 << m))
+    lucas = word_class is WordClass.LUCAS
+    shorter, suffixes = [0], [0]  # Fibonacci words of lengths i - 1 and i, in order
+    for i in range(k):
+        shorter, suffixes = suffixes, suffixes + [1 << i | s for s in shorter]
+    if m == 0:
+        return k, ([s for s in suffixes if _lucas_bits(n, s)] if lucas else suffixes,), iter([(0, 0)])
+    lists = (suffixes, suffixes[: len(shorter)])  # "0" before each shorter word sorts first
+    # a Fibonacci prefix's first bit restricts nothing
+    lists += tuple([s for s in ss if not s & 1] for ss in lists) if lucas else lists
+    prefixes = _iter_bits(m, WordClass.FIBONACCI)  # lazily, by these same blocks
+    return k, lists, ((p, p & 1 | (p >> (m - 1) & 1) << 1) for p in prefixes)
+
+
+def _iter_bits(n: int, word_class: WordClass) -> Iterator[int]:
+    k, suffix_lists, blocks = word_blocks(n, word_class)
+    # `for q in (p << k,)` shifts each prefix once per block, not per word
+    return (q | s for p, j in blocks for q in (p << k,) for s in suffix_lists[j])
 
 
 def enumerate_bits(n: int, word_class: WordClass) -> list[int]:
     """Integer encodings of all words of the class, in lexicographic order."""
-    if n < 0:
-        raise ValueError("word length must be >= 0")
-    if word_class is WordClass.UNRESTRICTED:
-        return list(range(1 << n))
-    fib = _fibonacci_words(n)
-    if word_class is WordClass.FIBONACCI:
-        return list(fib)
-    return [b for b in fib if _lucas_bits(n, b)]
+    return list(_iter_bits(n, word_class))
 
 
 def enumerate_words(n: int, word_class: WordClass) -> list[BitWord]:

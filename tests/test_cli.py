@@ -6,8 +6,11 @@ import sys
 from decimal import Decimal
 
 
-from fibcube import cube
-from fibcube.cli import _agree, format_significant, run
+import pytest
+
+from fibcube import cube, words
+from fibcube.cli import _KINDS, _agree, format_significant, run
+from fibcube.numeric import fibonacci, lucas
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -38,6 +41,57 @@ def test_enumerate_lucas_and_hyper(capsys):
     assert out == "word\n000\n001\n010\n100\n"
     code, out = capture(capsys, ["enumerate", "--kind", "hyper", "--n", "2"])
     assert out == "00\n01\n10\n11\n"
+
+
+def _per_word_rendering(ws, fmt: str) -> str:
+    """enumerate's output as it was rendered before streaming: one string per word."""
+    if fmt == "csv":
+        return "\n".join(["word"] + [str(w) for w in ws]) + "\n"
+    return "\n".join(str(w) or "ε" for w in ws) + "\n"
+
+
+@pytest.mark.parametrize("block", [3, 14])
+def test_enumerate_blocks_match_per_word_rendering(capsys, block):
+    for kind, cap in (("fib", 20), ("lucas", 20), ("hyper", 16)):
+        for n in range(cap + 1):
+            ws = words.enumerate_words(n, _KINDS[kind])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(words, "_BLOCK", block)
+                for fmt in ("text", "csv"):
+                    code, out = capture(capsys, ["enumerate", "--kind", kind, "--n", str(n), "--format", fmt])
+                    assert code == 0
+                    assert out == _per_word_rendering(ws, fmt), (kind, n, fmt)
+
+
+# Counts a child's stdout lines and reports its peak RSS from os.wait4.
+# It runs as a fresh interpreter because on Linux a child's ru_maxrss
+# starts at the resident size of the process that started it.
+_COUNTING_PARENT = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+lines = 0
+while chunk := child.stdout.read(1 << 16):
+    lines += chunk.count(b"\\n")
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, lines, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, n, count", [("fib", 30, fibonacci(32)), ("lucas", 30, lucas(30)), ("hyper", 20, 2**20)]
+)
+def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [sys.executable, "-m", "fibcube.cli", "enumerate", "--kind", kind, "--n", str(n)]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _COUNTING_PARENT, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, lines, maxrss_kb = map(int, proc.stdout.split())
+    assert (code, lines) == (0, count)
+    assert maxrss_kb < 64 * 1024  # ru_maxrss is in KB on Linux
 
 
 def test_ecc_table_csv_golden(capsys):

@@ -64,6 +64,24 @@ def test_eccentricity_fast_examples():
         eccentricity_fast(W("0110"))
 
 
+def test_fast_route_on_the_graph_matches_per_word_and_hamming():
+    for n in range(17):
+        g = CubeGraph(FIB, n)
+        fast = g.eccentricities("fast")
+        assert fast == [eccentricity_fast(w) for w in g.words()]
+        assert fast == g.eccentricities("hamming")
+
+
+def test_vertex_index_is_built_on_first_lookup():
+    g = CubeGraph(FIB, 6)
+    g.eccentricities("fast")
+    g.eccentricities("hamming")
+    assert "_index" not in vars(g)
+    assert g.index_of(W("000101")) == g.vertex_bits.index(0b000101)
+    assert W("000011") not in g
+    assert "_index" in vars(g)
+
+
 def test_histogram_examples():
     assert CubeGraph(FIB, 2).ecc_histogram().counts == {1: 1, 2: 2}
     assert CubeGraph(FIB, 3).ecc_histogram().counts == {2: 3, 3: 2}

@@ -1,9 +1,11 @@
+import functools
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibcube import words
 from fibcube.numeric import fibonacci, lucas
 from fibcube.words import (
     BitWord,
@@ -70,6 +72,47 @@ def test_enumeration_is_lexicographic():
     for n in range(2, 16):
         ws = [str(w) for w in enumerate_words(n, WordClass.FIBONACCI)]
         assert ws == sorted(ws)
+
+
+def _in_class(n: int, bits: int, word_class: WordClass) -> bool:
+    """Membership by definition: no symbol is 1 together with its right
+    neighbour, where a Lucas word's last symbol neighbours its first."""
+    if word_class is WordClass.UNRESTRICTED:
+        return True
+    neighbours = bits >> 1
+    if word_class is WordClass.LUCAS and n:
+        neighbours |= (bits & 1) << (n - 1)
+    return not bits & neighbours
+
+
+@functools.cache
+def _filtered_range(n: int, word_class: WordClass) -> list[int]:
+    return [b for b in range(1 << n) if _in_class(n, b, word_class)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_block_enumeration_matches_filtered_range(data):
+    # block lengths 3 and 5 split the words of length <= 20 into several
+    # levels of prefixes, and the default into one
+    word_class = data.draw(st.sampled_from(list(WordClass)))
+    n = data.draw(st.integers(0, 16 if word_class is WordClass.UNRESTRICTED else 20))
+    block = data.draw(st.sampled_from([3, 5, words._BLOCK]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_BLOCK", block)
+        assert enumerate_bits(n, word_class) == _filtered_range(n, word_class)
+
+
+def test_block_suffix_lists_per_class():
+    for n in (0, 5, 14, 15, 20):
+        k, suffix_lists, _ = words.word_blocks(n, WordClass.FIBONACCI)
+        assert k == min(n, words._BLOCK)
+        assert len({id(ss) for ss in suffix_lists}) == (1 if n <= k else 2)
+        k, suffix_lists, _ = words.word_blocks(n, WordClass.LUCAS)
+        assert len(suffix_lists) == (1 if n <= k else 4)
+        assert len(words.word_blocks(n, WordClass.UNRESTRICTED)[1]) == 1
+    with pytest.raises(ValueError):
+        words.word_blocks(-1, WordClass.FIBONACCI)
 
 
 def test_lucas_is_fibonacci_minus_wraparound():
