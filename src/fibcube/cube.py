@@ -13,8 +13,9 @@ found by a DP over the class's automaton in O(n) per vertex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cached_property
 
@@ -312,30 +313,81 @@ def weight_count_brute(n: int, i: int, chi: int, kind: WordClass) -> int:
     return sum(1 for b in enumerate_bits(n, kind) if (b >> shift) & 1 == chi)
 
 
-def _weight_ratios(n: int, kind: WordClass):
-    """Per position, (#words with 0 there) / (#words with 1 there), exact.
+def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
+    """Mean over positions of (#words with 0 there) / (#words with 1 there). Exact."""
+    return sum((Fraction(int(z), int(o)) for _, z, o, _ in weight_rows(n, kind)), Fraction(0)) / n
 
-    Validates at the call; the length-1 Lucas cube has no word with a 1
-    anywhere, so the ratios are undefined there.
-    """
+
+def weight_ratio_average_decimal(n: int, kind: WordClass):
+    """Same mean at package precision, from the correctly rounded ratios;
+    preferred for large n, where the exact rational's denominator grows out of hand."""
+    with localcontext(_CTX):
+        return sum(r for *_, r in weight_rows(n, kind)) / n
+
+
+# Exact integer arithmetic in Decimal for the table sweeps: libmpdec writes
+# text in linear time, CPython's int in quadratic time. An inexact "/" at
+# this precision raises MemoryError, not Inexact, so divide by _exact_div.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+def _exact_div(a: Decimal, d: int) -> Decimal:
+    q, r = divmod(a, d)
+    if r:
+        raise ArithmeticError(f"{a} is not divisible by {d}")
+    return q
+
+
+def ecc_rows(n_max: int, kind: WordClass):
+    """Rows (n, vertices, edges, ecc_sum, (p, q), avg_ecc_over_n), n = 1..n_max,
+    from one sweep of (F(n), F(n+1)): exact integer Decimals by the closed
+    forms of vertex_count, edge_count and ecc_sum_closed, which stay the
+    reference; p/q is the average eccentricity in lowest terms.
+
+    g = gcd(ecc_sum, vertices) divides a small m. Fibonacci: 5 ecc_sum =
+    (3 - n)F(n) mod F(n+2), prime to F(n), so m = |n - 3|, or m = F(5) at
+    n = 3. Lucas: ecc_sum = c - nF(n-1) mod L(n), c = (-1)^n (n - n//2), and
+    -5F(n-1)^2 = (-1)^n, so m = (-1)^n n^2 + 5c^2."""
+    _require_kind(kind)
+    f0 = f1 = Decimal(1)  # F(n), F(n+1)
+    for n in range(1, n_max + 1):
+        with localcontext(_EXACT):
+            if kind is WordClass.FIBONACCI:
+                nv = f0 + f1
+                m = abs(n - 3) or int(nv)
+                ne = _exact_div(n * f1 + 2 * (n + 1) * f0, 5)
+                es = _exact_div(3 * f0 + 4 * n * f1 + 3 * n * f0, 5)
+            else:
+                c = (-1) ** n * (n - n // 2)
+                nv, ne, es = 2 * f1 - f0, n * (f1 - f0), n * f1 + c
+                m = (-1) ** n * n * n + 5 * c * c
+            g = math.gcd(m, int(es % m), int(nv % m))
+            row = n, nv, ne, es, (_exact_div(es, g), _exact_div(nv, g)), _CTX.divide(es, nv * n)
+            f0, f1 = f1, f0 + f1
+        yield row
+
+
+def weight_rows(n: int, kind: WordClass):
+    """Rows (i, zero, one, zero / one) for positions i = 1..n, from one sweep:
+    the counts of words with 0 and with 1 at position i, as exact integer
+    Decimals by the closed forms of weight_count, which stays the reference."""
     _require_kind(kind)
     if n < 1:
         raise ValueError("weight ratios need n >= 1")
     if kind is WordClass.LUCAS and n == 1:
         raise ValueError("undefined for the length-1 Lucas cube: no word has a 1")
-    return (
-        Fraction(weight_count(n, i, 0, kind), weight_count(n, i, 1, kind))
-        for i in range(1, n + 1)
-    )
-
-
-def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
-    """Mean over positions of (#words with 0 there) / (#words with 1 there). Exact."""
-    return sum(_weight_ratios(n, kind), Fraction(0)) / n
-
-
-def weight_ratio_average_decimal(n: int, kind: WordClass):
-    """Same mean at package precision; preferred for large n, where the
-    exact rational's denominator grows out of hand."""
-    with localcontext(_CTX):
-        return sum(map(to_decimal, _weight_ratios(n, kind))) / n
+    f0, f1 = fibonacci_pair(n - 1)  # F(n-1), F(n)
+    # Fibonacci: F(i+1)F(n-i+2) and F(i)F(n-i+1) are each a constant plus
+    # multiples of (-phi^2)^i and (-psi^2)^i, roots of x^2 + 3x + 1, so they
+    # obey P(i+3) = P(i) + 2(P(i+1) - P(i+2)); so do Lucas's constant counts.
+    if kind is WordClass.FIBONACCI:
+        zero = f0 + f1, 2 * f1, 3 * f0  # F(2)F(n+1), F(3)F(n), F(4)F(n-1)
+        one = f1, f0, 2 * (f1 - f0)  # F(1)F(n), F(2)F(n-1), F(3)F(n-2)
+    else:
+        zero, one = (f0 + f1,) * 3, (f0,) * 3  # F(n+1), F(n-1)
+    (z0, z1, z2), (o0, o1, o2) = map(Decimal, zero), map(Decimal, one)
+    for i in range(1, n + 1):
+        yield i, z0, o0, _CTX.divide(z0, o0)
+        with localcontext(_EXACT):
+            z0, z1, z2 = z1, z2, z0 + 2 * (z1 - z2)
+            o0, o1, o2 = o1, o2, o0 + 2 * (o1 - o2)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .cube import CubeGraph, edge_count, vertex_count
@@ -87,7 +86,7 @@ def rho(graph: ExplicitGraph | tuple[int, int]) -> Decimal:
     if nv <= 1:
         raise ValueError("density undefined for graphs with fewer than two vertices")
     with localcontext(_CTX):
-        return to_decimal(Fraction(2 * ne, nv)) / log2_int(nv)
+        return to_decimal(2 * ne, nv) / log2_int(nv)
 
 
 def density_lemma_check(nv: int, ne: int) -> tuple[bool, bool]:

@@ -71,11 +71,12 @@ def golden_ratio() -> Decimal:
         return (1 + Decimal(5).sqrt()) / 2
 
 
-def to_decimal(value: Fraction | int) -> Decimal:
-    """Convert an exact rational, correctly rounded to DIGITS digits."""
+def to_decimal(value: Fraction | int, denominator: int = 1) -> Decimal:
+    """value / denominator, correctly rounded to DIGITS digits. The two
+    need not be in lowest terms, so no gcd is taken."""
     q = Fraction(value)
     with localcontext(_CTX):
-        return Decimal(q.numerator) / Decimal(q.denominator)
+        return Decimal(q.numerator) / Decimal(q.denominator * denominator)
 
 
 def log2_int(v: int) -> Decimal:

@@ -4,13 +4,14 @@ import pathlib
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 
 import pytest
 
 from fibcube import cube, words
 from fibcube.cli import _KINDS, _agree, format_significant, run
-from fibcube.numeric import fibonacci, lucas
+from fibcube.numeric import fibonacci, lucas, to_decimal
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -92,6 +93,70 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
     code, lines, maxrss_kb = map(int, proc.stdout.split())
     assert (code, lines) == (0, count)
     assert maxrss_kb < 64 * 1024  # ru_maxrss is in KB on Linux
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [(["ecc-table", "--kind", "lucas", "--n-max", "20000"], 20001), (["weights", "--kind", "fib", "--n", "10000"], 10002)],
+)
+def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _COUNTING_PARENT, sys.executable, "-m", "fibcube.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, lines, maxrss_kb = map(int, proc.stdout.split())
+    assert (code, lines) == (0, count)
+    assert maxrss_kb < 64 * 1024  # ru_maxrss is in KB on Linux
+
+
+def _old_table(header, rows, fmt):
+    """Tables as rendered before streaming: every row held, widths over all rows."""
+    if fmt == "csv":
+        return "".join(",".join(r) + "\n" for r in [header] + rows)
+    widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
+    return "".join("  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip() + "\n" for r in [header] + rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("kind, n_max", [("lucas", 6), ("lucas", 18), ("fib", 25), ("lucas", 1), ("fib", 40)])
+def test_ecc_table_matches_the_int_rendering(capsys, fmt, kind, n_max):
+    k = _KINDS[kind]
+    rows = [
+        [str(n), str(cube.vertex_count(n, k)), str(cube.edge_count(n, k)), str(cube.ecc_sum_closed(n, k)),
+         str(cube.average_ecc(n, k)), format_significant(cube.average_ecc_over_n(n, k), 12)]
+        for n in range(1, n_max + 1)
+    ]
+    header = ["n", "vertices", "edges", "ecc_sum", "avg_ecc", "avg_ecc_over_n"]
+    code, out = capture(capsys, ["ecc-table", "--kind", kind, "--n-max", str(n_max), "--format", fmt])
+    assert code == 0
+    assert out == _old_table(header, rows, fmt)
+    # where the last avg_ecc cell is not the widest: at lucas 6 among the
+    # cells (37/11 against 9/2), at lucas 18 and fib 25 also past the header
+    if (kind, n_max) in (("lucas", 6), ("lucas", 18), ("fib", 25)):
+        assert len(rows[-1][4]) < max(len(r[4]) for r in rows)
+    if (kind, n_max) in (("lucas", 18), ("fib", 25)):
+        assert len(rows[-1][4]) < max(len(r[4]) for r in rows + [header])
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("kind, n", [("fib", 1), ("fib", 9), ("lucas", 2), ("lucas", 30)])
+def test_weights_match_the_int_rendering(capsys, fmt, kind, n):
+    k = _KINDS[kind]
+    counts = [(cube.weight_count(n, i, 0, k), cube.weight_count(n, i, 1, k)) for i in range(1, n + 1)]
+    rows = [[str(i), str(w0), str(w1), format_significant(to_decimal(Fraction(w0, w1)), 12)]
+            for i, (w0, w1) in enumerate(counts, 1)]
+    rows.append(["avg", "", "", format_significant(cube.weight_ratio_average_decimal(n, k), 12)])
+    code, out = capture(capsys, ["weights", "--kind", kind, "--n", str(n), "--format", fmt])
+    assert code == 0
+    assert out == _old_table(["i", "zero_count", "one_count", "ratio"], rows, fmt)
+
+
+def test_streamed_tables_reject_bad_digits_before_writing(capsys):
+    for argv in (["ecc-table", "--kind", "fib", "--n-max", "3"], ["weights", "--kind", "fib", "--n", "3"]):
+        assert run([*argv, "--digits", "0", "--format", "csv"]) == 1
+        assert capsys.readouterr().out == ""
 
 
 def test_ecc_table_csv_golden(capsys):

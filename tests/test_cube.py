@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from fibcube.cube import (
     average_degree,
     average_ecc,
     average_ecc_over_n,
+    ecc_rows,
     ecc_sum_closed,
     eccentricity_fast,
     edge_count,
@@ -18,6 +20,7 @@ from fibcube.cube import (
     weight_count_brute,
     weight_ratio_average,
     weight_ratio_average_decimal,
+    weight_rows,
 )
 from fibcube.density import density_lemma_check
 from fibcube.numeric import fibonacci, lucas, to_decimal
@@ -176,6 +179,47 @@ def test_weight_ratio_decimal_agrees_with_exact():
         for kind in (FIB, LUC):
             exact = to_decimal(weight_ratio_average(n, kind))
             assert abs(exact - weight_ratio_average_decimal(n, kind)) < Decimal("1e-45")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([FIB, LUC]), st.integers(min_value=1, max_value=400))
+def test_ecc_rows_match_the_int_closed_forms(kind, n_max):
+    rows = list(ecc_rows(n_max, kind))
+    assert [row[0] for row in rows] == list(range(1, n_max + 1))
+    for n, nv, ne, es, (p, q), over_n in rows:
+        counts = (vertex_count(n, kind), edge_count(n, kind), ecc_sum_closed(n, kind))
+        avg = average_ecc(n, kind)
+        # every cell renders as str() of the int it stands for
+        assert list(map(str, (nv, ne, es, p, q))) == list(map(str, counts + (avg.numerator, avg.denominator)))
+        assert str(over_n) == str(average_ecc_over_n(n, kind))
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_ecc_rows_reduce_by_the_full_gcd_to_3000(kind):
+    # the sweep takes the gcd modulo a small m, which is F(5) at Fibonacci n = 3
+    for n, nv, _, es, (p, q), _ in ecc_rows(3000, kind):
+        g = math.gcd(int(es), int(nv))
+        assert (int(p) * g, int(q) * g) == (int(es), int(nv)), n
+
+
+def test_ecc_rows_at_the_special_moduli():
+    assert list(ecc_rows(3, FIB))[2][4] == (12, 5)
+    assert [row[4] for row in ecc_rows(2, LUC)] == [(0, 1), (5, 3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([FIB, LUC]), st.integers(min_value=1, max_value=300))
+def test_weight_rows_match_the_int_closed_forms(kind, n):
+    if kind is LUC and n == 1:
+        with pytest.raises(ValueError):
+            next(weight_rows(n, kind))
+        return
+    rows = list(weight_rows(n, kind))
+    assert [row[0] for row in rows] == list(range(1, n + 1))
+    for i, zero, one, ratio in rows:
+        w0, w1 = weight_count(n, i, 0, kind), weight_count(n, i, 1, kind)
+        assert (str(zero), str(one)) == (str(w0), str(w1))
+        assert str(ratio) == str(to_decimal(Fraction(w0, w1)))
 
 
 def test_vertex_counts():

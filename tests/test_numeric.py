@@ -119,6 +119,12 @@ def test_to_decimal_precision():
     assert str(val) == "0." + "6" * (DIGITS - 1) + "7"
 
 
+@given(st.integers(min_value=-10**60, max_value=10**60), st.integers(min_value=1, max_value=10**60))
+def test_to_decimal_of_an_unreduced_quotient(num, den):
+    # the same correctly rounded digits, exponent included, with no gcd taken
+    assert str(to_decimal(num, den)) == str(to_decimal(Fraction(num, den)))
+
+
 def test_log2_exact_powers():
     for k in (1, 5, 64, 1000):
         assert abs(log2_int(1 << k) - k) < Decimal("1e-44")
