@@ -22,7 +22,7 @@ from .density import ExplicitGraph, cartesian_power, cartesian_product, rho, rho
 from .fibtree import LabelingKind, LeafTree, build, depth_sum, verify_depth_eccentricity
 from .numeric import DIGITS, fibonacci, golden_ratio, lucas
 from .series import BiSeries, expand_rational, fibonacci_ecc_gf, lucas_ecc_gf
-from .words import BitWord, WordClass, enumerate_words, is_fibonacci, is_lucas, suffix_class
+from .words import BitWord, WordClass, enumerate_words, is_fibonacci, is_lucas
 
 __all__ = [
     "BitWord",
@@ -55,7 +55,6 @@ __all__ = [
     "lucas_ecc_gf",
     "rho",
     "rho_limit",
-    "suffix_class",
     "verify_depth_eccentricity",
     "vertex_count",
     "weight_count",

@@ -15,7 +15,7 @@ from decimal import Context, Decimal, localcontext
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cube, density, fibtree, series
-from .numeric import _CTX, fibonacci, sqrt5, to_decimal
+from .numeric import _CTX, DIGITS, fibonacci, sqrt5, to_decimal
 from .words import WordClass, word_blocks
 
 _KINDS = {"fib": WordClass.FIBONACCI, "lucas": WordClass.LUCAS, "hyper": WordClass.UNRESTRICTED}
@@ -34,6 +34,8 @@ _VERIFY_MAX_VERTICES = 5000
 # ecc-hist caps on --n; gf at its cap: ~0.5 s and 37 MB for --kind lucas
 _ECC_HIST_MAX_N = 30
 _GF_MAX_N = 500
+# density rows at most; the fib/lucas --k cap, so --step 1 stays valid there
+_DENSITY_MAX_ROWS = 20000
 
 
 class _UsageError(Exception):
@@ -47,8 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
 def format_significant(value: Decimal, digits: int) -> str:
     """Render with exactly ``digits`` significant digits."""
-    if digits < 1:
-        raise _UsageError("--digits must be >= 1")
     with localcontext(Context(prec=digits + 2)):
         d = Decimal(value)
         if d == 0:
@@ -123,8 +123,6 @@ def _cmd_ecc_table(args) -> int:
         raise _UsageError("--n-max must lie in 1..20000")
     if args.verify and args.n_max > _VERIFY_MAX_N:
         raise _UsageError(f"--verify enumerates every vertex; use --n-max <= {_VERIFY_MAX_N}")
-    if args.digits < 1:  # checked up front, since csv rows stream after the header
-        raise _UsageError("--digits must be >= 1")
     if args.verify:
         gf_sums = series.ecc_sum_from_gf(args.n_max, kind)
         for n, _, ne, es, _, _ in cube.ecc_rows(args.n_max, kind):
@@ -277,22 +275,24 @@ def _cmd_density(args) -> int:
     step = args.step if args.step is not None else max(1, args.k // 200)
     if step < 1:
         raise _UsageError("--step must be >= 1")
+    if (args.k - family.first_index) // step >= _DENSITY_MAX_ROWS:
+        raise _UsageError(f"--k and --step sample more than {_DENSITY_MAX_ROWS} rows; raise --step")
     table = density.rho_limit(family, args.k, step)
     if args.verify:
         if args.family in ("fib", "lucas"):
             limit = f"dimension {_VERIFY_MAX_N}"
-            small = [r for r in table.rows if r.k <= _VERIFY_MAX_N]
+            small = [r for r in table if r.k <= _VERIFY_MAX_N]
             graphs = (cube.CubeGraph(_KINDS[args.family], r.k) for r in small)
             brute = [(g.num_vertices, g.edge_count_brute()) for g in graphs]
         elif args.family == "power":
             limit = f"{_VERIFY_MAX_VERTICES} vertices"
-            small = [r for r in table.rows if r.num_vertices <= _VERIFY_MAX_VERTICES]
+            small = [r for r in table if r.num_vertices <= _VERIFY_MAX_VERTICES]
             base = density.ExplicitGraph.from_cube(cube.CubeGraph(WordClass.FIBONACCI, args.base_n))
             graphs = (density.cartesian_power(base, r.k) for r in small)
             brute = [(g.num_vertices, g.num_edges) for g in graphs]
         else:
             raise _UsageError(f"--verify has no independent route for family {args.family}")
-        n_rows, n_small = len(table.rows), len(small)
+        n_rows, n_small = len(table), len(small)
         print(f"checked {n_small} of {n_rows} rows; skipped {n_rows - n_small} above {limit}", file=sys.stderr)
         if not small:
             raise _UsageError(f"--verify found no row at or below {limit} to check")
@@ -301,7 +301,7 @@ def _cmd_density(args) -> int:
                 return 2
     rows = [
         [str(r.k), str(r.num_vertices), str(r.num_edges), format_significant(r.rho, args.digits)]
-        for r in table.rows
+        for r in table
     ]
     _emit(_table(["k", "vertices", "edges", "rho"], lambda: rows, args.format))
     return 0
@@ -353,9 +353,19 @@ def _cmd_limits(args) -> int:
     return 0
 
 
+def _digits(text: str) -> int:
+    # every Decimal carries DIGITS significant digits, so more would be padding
+    digits = int(text)
+    if not 1 <= digits <= DIGITS:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{DIGITS}")
+    return digits
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "text"), default="text")
-    p.add_argument("--digits", type=int, default=12, help="significant digits for decimals")
+    p.add_argument(
+        "--digits", type=_digits, default=12, help=f"significant digits for decimals, 1..{DIGITS}"
+    )
 
 
 def _build_parser() -> _Parser:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .cube import CubeGraph, edge_count, vertex_count
 from .numeric import _CTX, log2_int, to_decimal
@@ -202,70 +202,20 @@ class RhoRow:
     rho: Decimal
 
 
-@dataclass(frozen=True)
-class RhoTable:
-    family: str
-    rows: tuple[RhoRow, ...]
-    # running max over the last quarter of the rows; reported, never
-    # asserted to have converged
-    limsup_estimate: Decimal
-
-
-def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> RhoTable:
+def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, ...]:
     """Densities along the family up to k_max (always including k_max),
     sampling every ``step`` indices counted down from k_max."""
     if k_max < family.first_index:
         raise ValueError(f"k_max below the family's first index {family.first_index}")
     if step < 1:
         raise ValueError("step must be >= 1")
-    ks = []
-    k = k_max
-    while k >= family.first_index:
-        ks.append(k)
-        k -= step
-    ks.reverse()
     rows = []
     prev_nv = 0
-    for k in ks:
+    for k in range(k_max - (k_max - family.first_index) // step * step, k_max + 1, step):
         nv, ne = family.counts(k)
         if nv <= prev_nv:
             raise ArithmeticError(f"family {family.name} is not increasing at k={k}")
         prev_nv = nv
         rows.append(RhoRow(k, nv, ne, rho((nv, ne))))
-    tail = rows[-max(1, len(rows) // 4):]
-    return RhoTable(family.name, tuple(rows), max(r.rho for r in tail))
+    return tuple(rows)
 
-
-def bounded_degree_rho(family: GraphFamily, max_degree: int, ks: Iterable[int]) -> list[RhoRow]:
-    """Density rows for a family promised to have max degree <= max_degree.
-
-    The handshake bound 2E <= V*max_degree is asserted for every row, so
-    the densities necessarily sink as the vertex counts grow.
-    """
-    rows = []
-    for k in ks:
-        nv, ne = family.counts(k)
-        if 2 * ne > max_degree * nv:
-            raise ArithmeticError(
-                f"family {family.name} violates the degree bound {max_degree} at k={k}"
-            )
-        rows.append(RhoRow(k, nv, ne, rho((nv, ne))))
-    return rows
-
-
-def cesaro_product_mean(values: Sequence):
-    """Mean of a_i * a_(n+1-i) over i = 1..n for the given a_1..a_n.
-
-    Works on any numeric type; with Fractions the result is exact, with
-    Decimals it is computed at package precision. Converges to the
-    square of the limit when the sequence converges.
-    """
-    vals = list(values)
-    n = len(vals)
-    if n == 0:
-        raise ValueError("need at least one value")
-    with localcontext(_CTX):
-        total = vals[0] * vals[n - 1]
-        for i in range(1, n):
-            total += vals[i] * vals[n - 1 - i]
-        return total / n

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
 
 from .cube import CubeGraph
 from .words import BitWord, WordClass
@@ -22,20 +21,6 @@ from .words import BitWord, WordClass
 class LabelingKind(Enum):
     STANDARD = "standard"
     THETA = "theta"
-
-
-@dataclass(frozen=True)
-class Leaf:
-    label: BitWord
-
-
-@dataclass(frozen=True)
-class Internal:
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Leaf, Internal]
 
 
 def _label_rows(n: int, labeling: LabelingKind) -> list[tuple[str, int]]:
@@ -75,7 +60,6 @@ class LeafTree:
         self._depth_by_label = {label: depth for label, depth in rows}
         if len(self._depth_by_label) != len(rows):
             raise AssertionError("leaf labels are not distinct")
-        self._root: Node | None = None
 
     @property
     def leaf_count(self) -> int:
@@ -95,28 +79,12 @@ class LeafTree:
         except KeyError:
             raise ValueError(f"label {label!s} does not occur in this tree") from None
 
-    @property
-    def root(self) -> Node:
-        if self._root is None:
-            it = iter(self._rows)
-            self._root = _build_node(self.n, it)
-            if next(it, None) is not None:
-                raise AssertionError("leaf rows left over after building the tree")
-        return self._root
-
     def render(self) -> str:
         """One leaf per line, indented by depth: 'depth label'."""
         lines = []
         for label, depth in self._rows:
             lines.append(f"{'  ' * depth}{depth} {str(label) or 'ε'}")
         return "\n".join(lines)
-
-
-def _build_node(n: int, rows: Iterator[tuple[BitWord, int]]) -> Node:
-    if n <= 1:
-        label, _ = next(rows)
-        return Leaf(label)
-    return Internal(_build_node(n - 1, rows), _build_node(n - 2, rows))
 
 
 def build(n: int, labeling: LabelingKind = LabelingKind.THETA) -> LeafTree:

@@ -27,6 +27,8 @@ def decimal_context() -> Context:
 # mantissa leave a relative truncation error around 1e-57, far below DIGITS.
 _LOG_MANTISSA_BITS = 192
 
+_LN2 = _CTX.ln(Decimal(2))
+
 
 def fibonacci_pair(n: int) -> tuple[int, int]:
     """Return ``(F(n), F(n+1))`` with F(0)=0, F(1)=1.
@@ -90,4 +92,4 @@ def log2_int(v: int) -> Decimal:
         raise ValueError("log2 is undefined for non-positive integers")
     shift = max(0, v.bit_length() - _LOG_MANTISSA_BITS)
     with localcontext(_CTX):
-        return shift + Decimal(v >> shift).ln() / Decimal(2).ln()
+        return shift + Decimal(v >> shift).ln() / _LN2

@@ -130,28 +130,3 @@ def enumerate_words(n: int, word_class: WordClass) -> list[BitWord]:
     """All words of the class and length n, lexicographically ordered."""
     return [BitWord(n, b) for b in enumerate_bits(n, word_class)]
 
-
-class SuffixCase(Enum):
-    """How a word of length >= 2 decomposes by its last two symbols.
-
-    ENDS_00 strips both trailing zeros; the other two strip one symbol,
-    leaving a parent that ends in 1 (ENDS_10) or in 0 (ENDS_01).
-    """
-
-    ENDS_00 = "00"
-    ENDS_10 = "10"
-    ENDS_01 = "01"
-
-
-def suffix_class(w: BitWord) -> tuple[SuffixCase, BitWord]:
-    """Classify a word by its last two symbols and return the stripped parent."""
-    if w.n < 2:
-        raise ValueError("decomposition undefined for words shorter than 2")
-    last_two = w.bits & 3
-    if last_two == 0b00:
-        return SuffixCase.ENDS_00, BitWord(w.n - 2, w.bits >> 2)
-    if last_two == 0b10:
-        return SuffixCase.ENDS_10, BitWord(w.n - 1, w.bits >> 1)
-    if last_two == 0b01:
-        return SuffixCase.ENDS_01, BitWord(w.n - 1, w.bits >> 1)
-    raise ValueError("word ends in 11, so it has adjacent 1s")

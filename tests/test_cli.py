@@ -3,15 +3,15 @@ import os
 import pathlib
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
 import pytest
 
-from fibcube import cube, words
+from fibcube import cube, density, words
 from fibcube.cli import _KINDS, _agree, format_significant, run
-from fibcube.numeric import fibonacci, lucas, to_decimal
+from fibcube.numeric import decimal_context, fibonacci, lucas, to_decimal
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -153,10 +153,56 @@ def test_weights_match_the_int_rendering(capsys, fmt, kind, n):
     assert out == _old_table(["i", "zero_count", "one_count", "ratio"], rows, fmt)
 
 
+ALL_COMMANDS = [
+    ["enumerate", "--kind", "fib", "--n", "3"],
+    ["ecc-table", "--kind", "fib", "--n-max", "3"],
+    ["ecc-hist", "--kind", "fib", "--n", "3"],
+    ["weights", "--kind", "fib", "--n", "3"],
+    ["tree-check", "--n", "3"],
+    ["tree-print", "--n", "3"],
+    ["density", "--family", "fib", "--k", "10"],
+    ["limits"],
+]
+
+
 def test_streamed_tables_reject_bad_digits_before_writing(capsys):
-    for argv in (["ecc-table", "--kind", "fib", "--n-max", "3"], ["weights", "--kind", "fib", "--n", "3"]):
-        assert run([*argv, "--digits", "0", "--format", "csv"]) == 1
-        assert capsys.readouterr().out == ""
+    # every Decimal carries DIGITS = 50 significant digits; more would print padding
+    for argv in ALL_COMMANDS:
+        for digits in ("0", "51", "1000000"):
+            assert run([*argv, "--digits", digits, "--format", "csv"]) == 1, (argv, digits)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--digits" in captured.err and "1..50" in captured.err
+        assert run([*argv, "--digits", "50", "--format", "csv"]) == 0, argv
+        assert capsys.readouterr().out
+
+
+def test_limits_at_fifty_digits(capsys):
+    code, out = capture(capsys, ["limits", "--format", "csv", "--digits", "50"])
+    assert code == 0
+    limit = dict(line.split(",")[:2] for line in out.splitlines()[1:])["avg-ecc-over-n-fib"]
+    assert len(Decimal(limit).as_tuple().digits) == 50
+    with localcontext(decimal_context()):
+        assert Decimal(limit) == (5 + Decimal(5).sqrt()) / 10
+
+
+def test_density_row_bound_rejected_before_any_work(capsys, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(density, "rho_limit", lambda family, k, step: sampled.append((k, step)) or ())
+    # cycles start at k = 2: 40001 with step 2 samples 20000 rows, 40003 one more
+    for argv in (
+        ["density", "--family", "cycles", "--k", "40003", "--step", "2"],
+        ["density", "--family", "cycles", "--k", "1000000", "--step", "1"],
+        ["density", "--family", "cycles", "--k", str(10**12), "--step", "1"],
+    ):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 20000 rows" in captured.err
+    assert sampled == []
+    assert run(["density", "--family", "cycles", "--k", "40001", "--step", "2"]) == 0
+    assert run(["density", "--family", "fib", "--k", "20000", "--step", "1"]) == 0
+    assert sampled == [(40001, 2), (20000, 1)]
 
 
 def test_ecc_table_csv_golden(capsys):

@@ -9,10 +9,8 @@ from fibcube.cube import CubeGraph, edge_count, vertex_count, weight_ratio_avera
 from fibcube.density import (
     ExplicitGraph,
     GraphFamily,
-    bounded_degree_rho,
     cartesian_power,
     cartesian_product,
-    cesaro_product_mean,
     density_lemma_check,
     even_cycle_family,
     fibonacci_cube_family,
@@ -157,28 +155,23 @@ def test_explicit_graph_validation():
 
 def test_even_cycles_bounded_degree():
     fam = even_cycle_family()
-    rows = bounded_degree_rho(fam, 2, [2, 4, 16, 2**10, 2**20])
-    assert abs(rows[0].rho - 1) < Decimal("1e-40")  # the 4-cycle is Q2
-    values = [r.rho for r in rows]
+    counts = [fam.counts(k) for k in (2, 4, 16, 2**10, 2**20)]
+    # handshake: max degree 2 gives 2E <= 2V, so the densities must sink
+    assert all(2 * ne <= 2 * nv for nv, ne in counts)
+    values = [rho(c) for c in counts]
+    assert abs(values[0] - 1) < Decimal("1e-40")  # the 4-cycle is Q2
     assert all(b < a for a, b in zip(values, values[1:]))
     # 2/log2(2k) at k = 2**20 is 2/21, about 0.095
     assert abs(values[-1] - to_decimal(Fraction(2, 21))) < Decimal("1e-40")
 
 
-def test_bounded_degree_violation_detected():
-    fam = even_cycle_family()
-    with pytest.raises(ArithmeticError):
-        bounded_degree_rho(fam, 1, [4])
-
-
 def test_rho_limit_fibonacci_and_lucas():
-    table = rho_limit(fibonacci_cube_family(), 10000, step=500)
-    assert table.rows[-1].k == 10000
-    assert abs(table.rows[-1].rho - RHO_CUBES) < Decimal("1e-3")
-    assert table.limsup_estimate == max(r.rho for r in table.rows[-len(table.rows) // 4 :])
+    rows = rho_limit(fibonacci_cube_family(), 10000, step=500)
+    assert [r.k for r in rows] == list(range(500, 10001, 500))
+    assert abs(rows[-1].rho - RHO_CUBES) < Decimal("1e-3")
 
-    table = rho_limit(lucas_cube_family(), 10000, step=500)
-    assert abs(table.rows[-1].rho - RHO_CUBES) < Decimal("1e-3")
+    rows = rho_limit(lucas_cube_family(), 10000, step=500)
+    assert abs(rows[-1].rho - RHO_CUBES) < Decimal("1e-3")
 
 
 def test_rho_limit_requires_increasing_family():
@@ -189,37 +182,37 @@ def test_rho_limit_requires_increasing_family():
 
 def test_rho_limit_power_family_is_flat():
     base_nv, base_ne = 5, 5  # the dimension-3 Fibonacci cube
-    table = rho_limit(power_family(base_nv, base_ne), 6)
-    first = table.rows[0].rho
-    for row in table.rows:
+    rows = rho_limit(power_family(base_nv, base_ne), 6)
+    first = rows[0].rho
+    for row in rows:
         assert abs(row.rho - first) < Decimal("1e-12")
 
 
 def test_subdivided_family_table():
-    table = rho_limit(subdivided_complete_family(), 40, step=1)
-    values = [r.rho for r in table.rows]
+    rows = rho_limit(subdivided_complete_family(), 40, step=1)
+    assert [r.k for r in rows] == list(range(2, 41))
+    values = [r.rho for r in rows]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_cesaro_constant_sequence():
-    assert cesaro_product_mean([Fraction(3)] * 7) == 9
-    assert cesaro_product_mean([Fraction(5, 2)] * 4) == Fraction(25, 4)
-    with pytest.raises(ValueError):
-        cesaro_product_mean([])
+def cesaro_product_mean(a):
+    # mean of a(i) * a(n+1-i) over i = 1..n
+    return sum(x * y for x, y in zip(a, reversed(a))) / len(a)
+
+
+def fibonacci_ratios(n):
+    return [Fraction(fibonacci(i + 1), fibonacci(i)) for i in range(1, n + 1)]
 
 
 def test_cesaro_fibonacci_ratio_sequence():
-    n = 200
-    a = [Fraction(fibonacci(i + 1), fibonacci(i)) for i in range(1, n + 1)]
-    mean = cesaro_product_mean(a)
+    mean = cesaro_product_mean(fibonacci_ratios(200))
     assert abs(to_decimal(mean) - PHI_SQ) < Decimal("1e-2")
 
 
 def test_cesaro_equals_weight_ratio_average():
     # position ratios factor as a(i) * a(n+1-i) with a(i) = F(i+1)/F(i)
     for n in range(1, 51):
-        a = [Fraction(fibonacci(i + 1), fibonacci(i)) for i in range(1, n + 1)]
-        assert cesaro_product_mean(a) == weight_ratio_average(n, FIB)
+        assert cesaro_product_mean(fibonacci_ratios(n)) == weight_ratio_average(n, FIB)
 
 
 def test_product_with_fixed_factor_keeps_density():

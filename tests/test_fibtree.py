@@ -1,7 +1,7 @@
 import pytest
 
 from fibcube.cube import CubeGraph, ecc_sum_closed
-from fibcube.fibtree import Internal, LabelingKind, Leaf, build, depth_sum, verify_depth_eccentricity
+from fibcube.fibtree import LabelingKind, build, depth_sum, verify_depth_eccentricity
 from fibcube.numeric import fibonacci
 from fibcube.words import BitWord, WordClass, enumerate_words
 
@@ -63,34 +63,15 @@ def test_labelings_are_bijections_onto_words():
         assert {label for label, _ in build(n, STD).leaves()} == expected
 
 
-def test_node_structure_matches_row_depths():
-    for n in (1, 2, 5, 9):
-        tree = build(n, THETA)
-        found = []
-
-        def walk(node, depth):
-            if isinstance(node, Leaf):
-                found.append((node.label, depth))
-            else:
-                walk(node.left, depth + 1)
-                walk(node.right, depth + 1)
-
-        walk(tree.root, 0)
-        assert found == list(tree.leaves())
+def fibonacci_tree_depths(n):
+    # leaf depths, left to right, of the tree with subtrees of index n-1 and n-2
+    return [0] if n <= 1 else [d + 1 for d in fibonacci_tree_depths(n - 1) + fibonacci_tree_depths(n - 2)]
 
 
-def test_node_structure_subtree_split():
-    tree = build(7, THETA)
-    root = tree.root
-    assert isinstance(root, Internal)
-
-    def count_leaves(node):
-        if isinstance(node, Leaf):
-            return 1
-        return count_leaves(node.left) + count_leaves(node.right)
-
-    assert count_leaves(root.left) == fibonacci(7)  # left subtree has index 6
-    assert count_leaves(root.right) == fibonacci(6)
+def test_leaf_depths_follow_the_fibonacci_tree_shape():
+    for labeling in (THETA, STD):
+        for n in range(1, 16):
+            assert [d for _, d in build(n, labeling).leaves()] == fibonacci_tree_depths(n), (labeling, n)
 
 
 def test_depth_equals_eccentricity_for_depth_labeling():

@@ -9,13 +9,11 @@ from fibcube import words
 from fibcube.numeric import fibonacci, lucas
 from fibcube.words import (
     BitWord,
-    SuffixCase,
     WordClass,
     enumerate_bits,
     enumerate_words,
     is_fibonacci,
     is_lucas,
-    suffix_class,
 )
 
 W = BitWord.from_string
@@ -123,42 +121,6 @@ def test_lucas_is_fibonacci_minus_wraparound():
         assert luc == expected
 
 
-def test_suffix_class_examples():
-    assert suffix_class(W("0100")) == (SuffixCase.ENDS_00, W("01"))
-    assert suffix_class(W("010")) == (SuffixCase.ENDS_10, W("01"))
-    assert suffix_class(W("001")) == (SuffixCase.ENDS_01, W("00"))
-
-
-def test_suffix_class_rejects_short_words():
-    with pytest.raises(ValueError):
-        suffix_class(W("0"))
-    with pytest.raises(ValueError):
-        suffix_class(W(""))
-
-
-def test_suffix_class_rejects_adjacent_ones():
-    with pytest.raises(ValueError):
-        suffix_class(W("011"))
-
-
-def test_suffix_classes_partition_words():
-    # every word falls in exactly one case and the parent is the stripped word
-    for n in range(2, 21):
-        seen = {case: 0 for case in SuffixCase}
-        for w in enumerate_words(n, WordClass.FIBONACCI):
-            case, parent = suffix_class(w)
-            seen[case] += 1
-            s = str(w)
-            if case is SuffixCase.ENDS_00:
-                assert s.endswith("00") and str(parent) == s[:-2]
-            elif case is SuffixCase.ENDS_10:
-                assert s.endswith("10") and str(parent) == s[:-1]
-            else:
-                assert s.endswith("01") and str(parent) == s[:-1]
-            assert is_fibonacci(parent)
-        assert sum(seen.values()) == fibonacci(n + 2)
-
-
 def test_bitword_accessors():
     w = W("0110")
     assert (w.n, w.bits) == (4, 0b0110)
@@ -191,10 +153,3 @@ def test_predicates_match_string_oracle(s):
     assert is_fibonacci(w) == fib_str(s)
     assert is_lucas(w) == lucas_str(s)
     assert str(w) == s
-
-
-@given(st.text(alphabet="01", min_size=2, max_size=40).filter(lambda s: "11" not in s))
-def test_suffix_strip_round_trip(s):
-    case, parent = suffix_class(W(s))
-    suffix = {SuffixCase.ENDS_00: "00", SuffixCase.ENDS_10: "0", SuffixCase.ENDS_01: "1"}[case]
-    assert str(parent) + suffix == s
