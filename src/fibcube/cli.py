@@ -15,7 +15,7 @@ from decimal import Context, Decimal, localcontext
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cube, density, fibtree, series
-from .numeric import _CTX, DIGITS, fibonacci, sqrt5, to_decimal
+from .numeric import _CTX, _LN2, DIGITS, fibonacci, golden_ratio, sqrt5, to_decimal
 from .words import WordClass, word_blocks
 
 _KINDS = {"fib": WordClass.FIBONACCI, "lucas": WordClass.LUCAS, "hyper": WordClass.UNRESTRICTED}
@@ -31,7 +31,7 @@ _RHO_SCALE = 10000
 _VERIFY_MAX_N = 16
 # and so do explicit Cartesian powers, by their vertex count
 _VERIFY_MAX_VERTICES = 5000
-# ecc-hist caps on --n; gf at its cap: ~0.5 s and 37 MB for --kind lucas
+# ecc-hist caps on --n; gf at its cap: ~0.2 s and 24 MB for --kind lucas
 _ECC_HIST_MAX_N = 30
 _GF_MAX_N = 500
 # density rows at most; the fib/lucas --k cap, so --step 1 stays valid there
@@ -53,8 +53,10 @@ def format_significant(value: Decimal, digits: int) -> str:
         d = Decimal(value)
         if d == 0:
             return "0"
-        quantum = Decimal((0, (1,), d.adjusted() - digits + 1))
-        return str(d.quantize(quantum))
+        q = d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1)))
+        if q.adjusted() > d.adjusted():  # rounding carried into a new digit
+            q = q.quantize(Decimal((0, (1,), q.adjusted() - digits + 1)))
+        return str(q)
 
 
 def _agree(at: str, what: str, **routes) -> bool:
@@ -212,20 +214,14 @@ def _cmd_tree_check(args) -> int:
         raise _UsageError(f"--n must lie in 1..{_VERIFY_MAX_N}")
     labeling = fibtree.LabelingKind(args.labeling)
     check = fibtree.verify_depth_eccentricity(args.n, labeling)
+    label, depth, ecc = check.counterexample or ("", "", "")
     if args.format == "csv":
-        header = "status,leaves,label,depth,eccentricity"
-        if check.ok:
-            _emit([header, f"PASS,{check.leaf_count},,,"])
-            return 0
-        label, depth, ecc = check.counterexample
-        _emit([header, f"FAIL,{check.leaf_count},{label!s},{depth},{ecc}"])
-        return 2
-    if check.ok:
-        _emit([f"PASS {check.leaf_count} leaves"])
-        return 0
-    label, depth, ecc = check.counterexample
-    _emit([f"FAIL at label {label!s}: depth {depth}, eccentricity {ecc}"])
-    return 2
+        row = f"{'PASS' if check.ok else 'FAIL'},{check.leaf_count},{label!s},{depth},{ecc}"
+        _emit(["status,leaves,label,depth,eccentricity", row])
+    else:
+        failure = f"FAIL at label {label!s}: depth {depth}, eccentricity {ecc}"
+        _emit([f"PASS {check.leaf_count} leaves" if check.ok else failure])
+    return 0 if check.ok else 2
 
 
 def _cmd_tree_print(args) -> int:
@@ -313,7 +309,7 @@ def _cmd_limits(args) -> int:
         ecc_limit = (5 + s5) / 10
         deg_limit = (5 - s5) / 5
         phi_sq = (3 + s5) / 2
-        rho_limit_const = deg_limit / (((1 + s5) / 2).ln() / Decimal(2).ln())
+        rho_limit_const = deg_limit / (golden_ratio().ln() / _LN2)
     fib, luc = WordClass.FIBONACCI, WordClass.LUCAS
     rows_data = [
         ("avg-ecc-over-n-fib", ecc_limit, cube.average_ecc_over_n(_ECC_SCALE, fib)),

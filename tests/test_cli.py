@@ -6,8 +6,9 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibcube import cube, density, words
 from fibcube.cli import _KINDS, _agree, format_significant, run
@@ -97,7 +98,11 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
 
 @pytest.mark.parametrize(
     "argv, count",
-    [(["ecc-table", "--kind", "lucas", "--n-max", "20000"], 20001), (["weights", "--kind", "fib", "--n", "10000"], 10002)],
+    [
+        (["ecc-table", "--kind", "lucas", "--n-max", "20000"], 20001),
+        (["weights", "--kind", "fib", "--n", "10000"], 10002),
+        (["ecc-hist", "--kind", "lucas", "--n", "500", "--method", "gf"], 252),
+    ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -332,6 +337,9 @@ def test_tree_check_pass(capsys):
     code, out = capture(capsys, ["tree-check", "--n", "12"])
     assert code == 0
     assert out == "PASS 377 leaves\n"
+    code, out = capture(capsys, ["tree-check", "--n", "12", "--format", "csv"])
+    assert code == 0
+    assert out == "status,leaves,label,depth,eccentricity\nPASS,377,,,\n"
 
 
 def test_tree_check_standard_fails_at_01(capsys):
@@ -411,6 +419,11 @@ def test_density_cycles_and_verify_rejection(capsys):
     code, out = capture(capsys, ["density", "--family", "cycles", "--k", "4", "--step", "1", "--format", "csv"])
     assert code == 0
     assert out.splitlines()[1] == "2,4,4,1.00000000000"
+    # rho just under 0.1 rounds up to one digit, not to "0.10"
+    argv = ["density", "--family", "cycles", "--k", "800000", "--step", "400000", "--digits", "1"]
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert [line.split()[-1] for line in out.splitlines()[1:]] == ["0.1", "0.1"]
     code, _ = capture(capsys, ["density", "--family", "cycles", "--k", "4", "--verify"])
     assert code == 1
 
@@ -499,3 +512,25 @@ def test_format_significant():
     assert format_significant(Decimal("0.5"), 3) == "0.500"
     assert format_significant(Decimal(0), 12) == "0"
     assert format_significant(Decimal("12345.678"), 4) == "1.235E+4"
+    # rounding that carries into a new digit keeps the digit count
+    assert format_significant(Decimal("9.996"), 2) == "10"
+    assert format_significant(Decimal("0.96"), 1) == "1"
+    assert format_significant(Decimal("0.0999"), 1) == "0.1"
+    assert format_significant(Decimal("99.5"), 2) == "1.0E+2"
+    assert format_significant(Decimal("99999"), 2) == "1.0E+5"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.decimals(allow_nan=False, allow_infinity=False, min_value=Decimal("-1e30"), max_value=Decimal("1e30"), places=8),
+    st.integers(1, 20),
+)
+def test_format_significant_keeps_the_digit_count_and_the_value(value, digits):
+    text = format_significant(value, digits)
+    if value == 0:
+        assert text == "0"
+        return
+    shown = Decimal(text)
+    assert len(shown.as_tuple().digits) == digits
+    # correctly rounded: within half a unit in the last shown place
+    assert abs(shown - value) <= Decimal((0, (5,), shown.as_tuple().exponent - 1))

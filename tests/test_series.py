@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from fibcube.cube import CubeGraph, ecc_sum_closed, vertex_count
 from fibcube.series import (
-    BiSeries,
-    _ecc_series,
+    _ECC_GF,
+    _add,
+    _ecc_ratio,
+    _mul,
     ecc_sum_from_gf,
     expand_rational,
     fibonacci_ecc_gf,
@@ -27,35 +29,37 @@ def naive_fib(upto: int) -> list[int]:
     return seq
 
 
-def uni(terms, order=ORDER):
-    """Univariate polynomial as a BiSeries constant in y."""
-    return BiSeries.from_terms({(i, 0): c for i, c in terms.items()}, order, 0)
+def uni(terms):
+    """Univariate polynomial {i: c} as a polynomial in x and y."""
+    return {(i, 0): c for i, c in terms.items()}
 
 
-def _dense_divide(num: BiSeries, den: BiSeries) -> BiSeries:
+def x_series(num, den, order=ORDER):
+    """Coefficients of the univariate series num/den to x^order."""
+    return [row[0] for row in expand_rational(num, den, order, 0).coeff]
+
+
+def _dense_divide(num, den, mx, my):
     """Test oracle: long division summing over every earlier coefficient."""
-    c0 = den.get(0, 0)
-    mx, my = min(num.max_x, den.max_x), min(num.max_y, den.max_y)
+    c0 = den[0, 0]
     q = [[Fraction(0)] * (my + 1) for _ in range(mx + 1)]
     for i in range(mx + 1):
         for j in range(my + 1):
-            s = Fraction(num.coeff[i][j])
+            s = Fraction(num.get((i, j), 0))
             for p in range(i + 1):
                 for r in range(j + 1):
                     if (p, r) != (i, j):
-                        s -= q[p][r] * den.get(i - p, j - r)
+                        s -= q[p][r] * den.get((i - p, j - r), 0)
             q[i][j] = s / c0
-    return BiSeries(mx, my, tuple(tuple(row) for row in q))
+    return tuple(tuple(row) for row in q)
 
 
 def test_geometric_series():
-    s = expand_rational({(0, 0): 1}, {(0, 0): 1, (1, 0): -1}, 5, 0)
-    assert s.eval_y1() == [1, 1, 1, 1, 1, 1]
+    assert x_series({(0, 0): 1}, {(0, 0): 1, (1, 0): -1}, 5) == [1, 1, 1, 1, 1, 1]
 
 
 def test_fibonacci_generating_function():
-    s = expand_rational({(1, 0): 1}, {(0, 0): 1, (1, 0): -1, (2, 0): -1}, 8, 0)
-    assert [int(c) for c in s.eval_y1()] == naive_fib(8)[:9]
+    assert x_series({(1, 0): 1}, {(0, 0): 1, (1, 0): -1, (2, 0): -1}, 8) == naive_fib(8)[:9]
 
 
 def test_bivariate_coefficient_example():
@@ -65,7 +69,7 @@ def test_bivariate_coefficient_example():
         4,
         4,
     )
-    assert s.get(3, 3) == 2  # two vertices of the 3-cube with eccentricity 3
+    assert s.coeff[3][3] == 2  # two vertices of the 3-cube with eccentricity 3
 
 
 def test_zero_constant_term_rejected():
@@ -148,57 +152,43 @@ def test_identity_derivative_of_bivariate_series():
         ORDER,
         ORDER,
     )
-    lhs = f.d_dy().eval_y1()
-    den_sq = uni(DEN) * uni(DEN)
-    rhs = (uni({1: 2, 2: 1}) / den_sq).eval_y1()
-    assert lhs == rhs
+    lhs = [sum(j * c for j, c in enumerate(row)) for row in f.coeff]
+    assert lhs == x_series(uni({1: 2, 2: 1}), _mul(uni(DEN), uni(DEN)))
 
 
 def test_identity_n_fib_plus_one():
     # sum of n*F(n+1)*x^n = (x + 2x^2)/(1-x-x^2)^2
     f = naive_fib(ORDER + 1)
-    den_sq = uni(DEN) * uni(DEN)
-    series = (uni({1: 1, 2: 2}) / den_sq).eval_y1()
-    assert series == [Fraction(n * f[n + 1]) for n in range(ORDER + 1)]
+    series = x_series(uni({1: 1, 2: 2}), _mul(uni(DEN), uni(DEN)))
+    assert series == [n * f[n + 1] for n in range(ORDER + 1)]
 
 
 def test_identity_n_fib():
     # sum of n*F(n)*x^n = (x + x^3)/(1-x-x^2)^2
     f = naive_fib(ORDER)
-    den_sq = uni(DEN) * uni(DEN)
-    series = (uni({1: 1, 3: 1}) / den_sq).eval_y1()
-    assert series == [Fraction(n * f[n]) for n in range(ORDER + 1)]
+    series = x_series(uni({1: 1, 3: 1}), _mul(uni(DEN), uni(DEN)))
+    assert series == [n * f[n] for n in range(ORDER + 1)]
 
 
 def test_identity_partial_fraction_combination():
     # (2x+x^2)/(1-x-x^2)^2 =
     #   (1/5) * (3*x/(1-x-x^2) + 4*(x+2x^2)/(1-x-x^2)^2 + 3*(x+x^3)/(1-x-x^2)^2)
     den = uni(DEN)
-    den_sq = den * den
-    lhs = (uni({1: 2, 2: 1}) / den_sq).eval_y1()
-    a = (uni({1: 1}) / den).eval_y1()
-    b = (uni({1: 1, 2: 2}) / den_sq).eval_y1()
-    c = (uni({1: 1, 3: 1}) / den_sq).eval_y1()
+    den_sq = _mul(den, den)
+    lhs = x_series(uni({1: 2, 2: 1}), den_sq)
+    a = x_series(uni({1: 1}), den)
+    b = x_series(uni({1: 1, 2: 2}), den_sq)
+    c = x_series(uni({1: 1, 3: 1}), den_sq)
     rhs = [Fraction(3 * ai + 4 * bi + 3 * ci, 5) for ai, bi, ci in zip(a, b, c)]
     assert lhs == rhs
 
 
-def test_series_algebra_basics():
-    one = uni({0: 1}, 6)
-    x = uni({1: 1}, 6)
-    assert ((one + x) * (one - x)).eval_y1() == [1, 0, -1, 0, 0, 0, 0]
-    assert (x * x).get(2, 0) == 1
-    assert (-x).get(1, 0) == -1
-
-
-def test_derivative_of_polynomial():
-    # d/dy (1 + 3xy + x y^2) = 3x + 2xy
-    p = BiSeries.from_terms({(0, 0): 1, (1, 1): 3, (1, 2): 1}, 3, 3)
-    d = p.d_dy()
-    assert d.get(1, 0) == 3
-    assert d.get(1, 1) == 2
-    assert d.get(0, 0) == 0
-    assert d.max_y == 2
+def test_polynomial_product_and_sum():
+    one, x = uni({0: 1}), uni({1: 1})
+    minus_x = {k: -c for k, c in x.items()}
+    assert _mul(_add(one, x), _add(one, minus_x)) == {(0, 0): 1, (1, 0): 0, (2, 0): -1}
+    assert _mul({(0, 0): 1, (1, 1): 3}, {(1, 2): 2}) == {(1, 2): 2, (2, 3): 6}
+    assert _add({(0, 0): 1}, {}) == {(0, 0): 1} and _mul({(0, 0): 1}, {}) == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,9 +203,8 @@ def test_division_inverts_multiplication(data):
         (i, j): data.draw(coeffs) for i in range(3) for j in range(3)
     }
     b_terms[(0, 0)] = data.draw(st.integers(min_value=1, max_value=4))
-    a = BiSeries.from_terms(a_terms, order, order)
-    b = BiSeries.from_terms(b_terms, order, order)
-    assert ((a * b) / b).coeff == a.coeff
+    a = expand_rational(a_terms, {(0, 0): 1}, order, order)
+    assert expand_rational(_mul(a_terms, b_terms), b_terms, order, order) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,22 +217,20 @@ def test_division_matches_dense_oracle(data):
     num_terms = data.draw(st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), coeffs, max_size=12))
     den_terms = data.draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs, max_size=4))
     den_terms[(0, 0)] = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(2, 3)]))
-    num = BiSeries.from_terms(num_terms, mx, my)
-    den = BiSeries.from_terms(den_terms, data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8)))
-    q = num / den
-    assert q.coeff == _dense_divide(num, den).coeff
-    assert (q.max_x, q.max_y) == (min(mx, den.max_x), min(my, den.max_y))
+    q = expand_rational(num_terms, den_terms, mx, my)
+    assert q.coeff == _dense_divide(num_terms, den_terms, mx, my)
+    assert (q.max_x, q.max_y) == (mx, my)
 
 
 def test_unit_constant_term_keeps_int_coefficients():
     for c0 in (1, -1):
         q = expand_rational({(0, 0): 3, (1, 2): -7}, {(0, 0): c0, (1, 1): -1, (3, 0): 2}, 12, 12)
         assert all(type(c) is int for row in q.coeff for c in row)
-    assert all(type(c) is int for row in (uni({0: 1, 1: 2}) * uni(DEN)).coeff for c in row)
+    assert all(type(c) is int for c in _mul(uni({0: 1, 1: 2}), uni(DEN)).values())
     # an inexact division gives Fractions, and only where it is inexact
-    q = expand_rational({(0, 0): 4, (1, 0): 1}, {(0, 0): 2}, 1, 0)
-    assert [type(c) for c in q.eval_y1()] == [int, Fraction]
-    assert q.eval_y1() == [2, Fraction(1, 2)]
+    q = x_series({(0, 0): 4, (1, 0): 1}, {(0, 0): 2}, 1)
+    assert [type(c) for c in q] == [int, Fraction]
+    assert q == [2, Fraction(1, 2)]
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
@@ -258,7 +245,40 @@ def test_histograms_to_60_match_closed_forms(kind):
 @pytest.mark.parametrize("kind", [FIB, LUC])
 @pytest.mark.parametrize("max_n", [0, 1, 2, 3, 17, 40])
 def test_univariate_sums_match_bivariate_derivative(kind, max_n):
-    assert ecc_sum_from_gf(max_n, kind) == _ecc_series(max_n, kind).d_dy().eval_y1()
+    # a histogram's ecc_sum is the bivariate series' y-derivative at y = 1
+    hists = (fibonacci_ecc_gf if kind is FIB else lucas_ecc_gf)(max_n)
+    assert ecc_sum_from_gf(max_n, kind) == [h.ecc_sum() for h in hists]
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_folded_ratio_expands_to_the_sum_of_the_typed_pairs(kind):
+    order = 40
+    folded = expand_rational(*_ecc_ratio(order, kind), order, order).coeff
+    parts = [expand_rational(num, den, order, order).coeff for num, den in _ECC_GF[kind]]
+    assert folded == tuple(tuple(map(sum, zip(*rows))) for rows in zip(*parts))
+
+
+def test_expansion_rejects_negative_exponents():
+    with pytest.raises(ValueError, match="exponents"):
+        expand_rational({(0, -1): 1}, {(0, 0): 1}, 3, 3)
+    with pytest.raises(ValueError, match="exponents"):
+        expand_rational({(0, 0): 1}, {(0, 0): 1, (-1, 0): 1}, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "pairs, bad",
+    [
+        ([({(0, 0): 1}, {(0, 0): 1, (1, 1): 1})], "-1"),  # 1/(1 + xy) has -xy
+        ([({(0, 0): 1}, {(0, 0): 2, (1, 1): -1})], "1/2"),  # 1/(2 - xy) starts at 1/2
+    ],
+    ids=["negative", "fraction"],
+)
+def test_counts_and_sums_must_be_non_negative_integers(monkeypatch, pairs, bad):
+    monkeypatch.setitem(_ECC_GF, FIB, pairs)
+    with pytest.raises(ArithmeticError, match=f"non-negative integer at .*, got {bad}"):
+        fibonacci_ecc_gf(3)
+    with pytest.raises(ArithmeticError, match="non-negative integer at x\\^"):
+        ecc_sum_from_gf(3, FIB)
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
