@@ -15,7 +15,7 @@ from decimal import Context, Decimal, localcontext
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cube, density, fibtree, series
-from .numeric import _CTX, _LN2, DIGITS, fibonacci, golden_ratio, sqrt5, to_decimal
+from .numeric import _CTX, _LN2, DIGITS, golden_ratio, sqrt5, to_decimal
 from .words import WordClass, word_blocks
 
 _KINDS = {"fib": WordClass.FIBONACCI, "lucas": WordClass.LUCAS, "hyper": WordClass.UNRESTRICTED}
@@ -31,9 +31,11 @@ _RHO_SCALE = 10000
 _VERIFY_MAX_N = 16
 # and so do explicit Cartesian powers, by their vertex count
 _VERIFY_MAX_VERTICES = 5000
-# ecc-hist caps on --n; gf at its cap: ~0.2 s and 24 MB for --kind lucas
-_ECC_HIST_MAX_N = 30
-_GF_MAX_N = 500
+# ecc-hist caps on --n, by the option that picks the routes run; at its cap
+# fast takes ~5 s and 33 MB, gf ~0.2 s and 24 MB for --kind lucas
+_ECC_HIST_CAPS = {
+    "--method bfs": _VERIFY_MAX_N, "--method fast": 30, "--method gf": 500, "--verify": _VERIFY_MAX_N
+}
 # density rows at most; the fib/lucas --k cap, so --step 1 stays valid there
 _DENSITY_MAX_ROWS = 20000
 
@@ -103,9 +105,8 @@ def _table(header: list[str], rows: Callable, fmt: str, left: frozenset[int] = f
 
 def _cmd_enumerate(args) -> int:
     kind = _KINDS[args.kind]
-    cap = 20 if kind is WordClass.UNRESTRICTED else 30
-    if not 0 <= args.n <= cap:
-        raise _UsageError(f"--n must lie in 0..{cap} for kind {args.kind}")
+    if kind is WordClass.UNRESTRICTED and args.n > 20:
+        raise _UsageError("--n must lie in 0..20 for kind hyper")
     k, suffix_lists, blocks = word_blocks(args.n, kind)
     m = args.n - k
     # each suffix list is rendered once; k = 0 only for the empty word
@@ -119,10 +120,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_ecc_table(args) -> int:
     kind = _KINDS[args.kind]
-    # the cap bounds the output, which grows as n_max squared: at 20000 it is
-    # 419 MB of text (210 MB csv), written in ~2.5 s at 17 MB peak RSS
-    if not 1 <= args.n_max <= 20000:
-        raise _UsageError("--n-max must lie in 1..20000")
     if args.verify and args.n_max > _VERIFY_MAX_N:
         raise _UsageError(f"--verify enumerates every vertex; use --n-max <= {_VERIFY_MAX_N}")
     if args.verify:
@@ -148,17 +145,11 @@ def _cmd_ecc_table(args) -> int:
 def _cmd_ecc_hist(args) -> int:
     kind = _KINDS[args.kind]
     n = args.n
-    if n < 0:
-        raise _UsageError("--n must be >= 0")
     if args.method == "fast" and kind is not WordClass.FIBONACCI:
         raise _UsageError("--method fast applies to --kind fib only")
-    if args.method == "bfs" and n > _VERIFY_MAX_N:
-        raise _UsageError(f"--method bfs enumerates every vertex; use --n <= {_VERIFY_MAX_N}")
-    cap = _GF_MAX_N if args.method == "gf" else _ECC_HIST_MAX_N
-    if n > cap:
-        raise _UsageError(f"--n must be <= {_ECC_HIST_MAX_N}, or <= {_GF_MAX_N} with --method gf")
-    if args.verify and n > _VERIFY_MAX_N:
-        raise _UsageError(f"--verify needs --n <= {_VERIFY_MAX_N}")
+    route = "--verify" if args.verify else f"--method {args.method}"
+    if n > _ECC_HIST_CAPS[route]:
+        raise _UsageError(f"--n must be <= {_ECC_HIST_CAPS[route]} with {route}")
     graph = functools.cache(lambda: cube.CubeGraph(kind, n))
 
     def by_method(method: str) -> cube.EccHistogram:
@@ -185,12 +176,8 @@ def _cmd_ecc_hist(args) -> int:
 def _cmd_weights(args) -> int:
     kind = _KINDS[args.kind]
     n = args.n
-    if n < 1:
-        raise _UsageError("--n must be >= 1")
     if kind is WordClass.LUCAS and n == 1:
         raise _UsageError("ratios undefined at n=1 for kind lucas: no word has a 1")
-    if n > 10000:
-        raise _UsageError("--n must be <= 10000")
     if args.verify and n > _VERIFY_MAX_N:
         raise _UsageError(f"--verify needs --n <= {_VERIFY_MAX_N}")
     if args.verify:
@@ -210,8 +197,6 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_tree_check(args) -> int:
-    if not 1 <= args.n <= _VERIFY_MAX_N:
-        raise _UsageError(f"--n must lie in 1..{_VERIFY_MAX_N}")
     labeling = fibtree.LabelingKind(args.labeling)
     check = fibtree.verify_depth_eccentricity(args.n, labeling)
     label, depth, ecc = check.counterexample or ("", "", "")
@@ -225,8 +210,6 @@ def _cmd_tree_check(args) -> int:
 
 
 def _cmd_tree_print(args) -> int:
-    if not 1 <= args.n <= 20:
-        raise _UsageError("--n must lie in 1..20")
     tree = fibtree.build(args.n, fibtree.LabelingKind(args.labeling))
     if args.format == "csv":
         rows = [[str(d), str(label)] for label, d in tree.leaves()]
@@ -239,8 +222,6 @@ def _cmd_tree_print(args) -> int:
 def _fib_powers(base_n: int | None) -> density.GraphFamily:
     if base_n is None:
         raise _UsageError("--family power needs --base-n")
-    if not 1 <= base_n <= 20:
-        raise _UsageError("--base-n must lie in 1..20")
     nv = cube.vertex_count(base_n, WordClass.FIBONACCI)
     ne = cube.edge_count(base_n, WordClass.FIBONACCI)
     return density.power_family(nv, ne, name=f"fib-{base_n}-powers")
@@ -259,8 +240,6 @@ _DENSITY_FAMILIES = {
 
 def _cmd_density(args) -> int:
     make_family, cap = _DENSITY_FAMILIES[args.family]
-    if args.k < 1:
-        raise _UsageError("--k must be >= 1")
     if args.k > cap:
         raise _UsageError(f"--k must be <= {cap} for family {args.family}")
     if args.family != "power" and args.base_n is not None:
@@ -269,8 +248,6 @@ def _cmd_density(args) -> int:
     if args.k < family.first_index:
         raise _UsageError(f"--k must be >= {family.first_index} for family {args.family}")
     step = args.step if args.step is not None else max(1, args.k // 200)
-    if step < 1:
-        raise _UsageError("--step must be >= 1")
     if (args.k - family.first_index) // step >= _DENSITY_MAX_ROWS:
         raise _UsageError(f"--k and --step sample more than {_DENSITY_MAX_ROWS} rows; raise --step")
     table = density.rho_limit(family, args.k, step)
@@ -317,11 +294,7 @@ def _cmd_limits(args) -> int:
         ("avg-deg-over-n-fib", deg_limit, to_decimal(cube.average_degree(_DEG_SCALE, fib) / _DEG_SCALE)),
         ("avg-deg-over-n-lucas", deg_limit, to_decimal(cube.average_degree(_DEG_SCALE, luc) / _DEG_SCALE)),
         ("weight-ratio-fib", phi_sq, cube.weight_ratio_average_decimal(_WEIGHT_FIB_SCALE, fib)),
-        (
-            "weight-ratio-lucas",
-            phi_sq,
-            to_decimal(fibonacci(_WEIGHT_LUCAS_SCALE + 1), fibonacci(_WEIGHT_LUCAS_SCALE - 1)),
-        ),
+        ("weight-ratio-lucas", phi_sq, cube.weight_ratio_average_decimal(_WEIGHT_LUCAS_SCALE, luc)),
         (
             "rho-fib",
             rho_limit_const,
@@ -349,18 +322,23 @@ def _cmd_limits(args) -> int:
     return 0
 
 
-def _digits(text: str) -> int:
-    # every Decimal carries DIGITS significant digits, so more would be padding
-    digits = int(text)
-    if not 1 <= digits <= DIGITS:
-        raise argparse.ArgumentTypeError(f"must lie in 1..{DIGITS}")
-    return digits
+def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an int in lo..hi, or at least lo when hi is None."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}" if hi is None else f"must lie in {lo}..{hi}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "text"), default="text")
+    # every Decimal carries DIGITS significant digits, so more would be padding
     p.add_argument(
-        "--digits", type=_digits, default=12, help=f"significant digits for decimals, 1..{DIGITS}"
+        "--digits", type=_int_in(1, DIGITS), default=12, help=f"significant digits for decimals, 1..{DIGITS}"
     )
 
 
@@ -370,20 +348,22 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list the vertices of one cube")
     p.add_argument("--kind", choices=("fib", "lucas", "hyper"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(0, 30), required=True, help="0..30, or 0..20 for kind hyper")
     _add_common(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("ecc-table", help="eccentricity sums and averages per dimension")
     p.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    # the cap bounds the output, which grows as n_max squared: at 20000 it is
+    # 419 MB of text (210 MB csv), written in ~2.5 s at 17 MB peak RSS
+    p.add_argument("--n-max", type=_int_in(1, 20000), required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against BFS and the series")
     _add_common(p)
     p.set_defaults(handler=_cmd_ecc_table)
 
     p = sub.add_parser("ecc-hist", help="vertex counts per eccentricity")
     p.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(0), required=True, help="capped by --method and --verify")
     p.add_argument("--method", choices=("bfs", "gf", "fast"), default="bfs")
     p.add_argument("--verify", action="store_true", help="compare every applicable method")
     _add_common(p)
@@ -391,28 +371,28 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("weights", help="counts of words with 0 resp. 1 per position")
     p.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1, 10000), required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against enumeration")
     _add_common(p)
     p.set_defaults(handler=_cmd_weights)
 
     p = sub.add_parser("tree-check", help="leaf depth against cube eccentricity")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1, _VERIFY_MAX_N), required=True)
     p.add_argument("--labeling", choices=("theta", "standard"), default="theta")
     _add_common(p)
     p.set_defaults(handler=_cmd_tree_check)
 
     p = sub.add_parser("tree-print", help="render a labeled tree, one leaf per line")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_in(1, 20), required=True)
     p.add_argument("--labeling", choices=("theta", "standard"), default="theta")
     _add_common(p)
     p.set_defaults(handler=_cmd_tree_print)
 
     p = sub.add_parser("density", help="hypercube density along a family")
     p.add_argument("--family", choices=tuple(_DENSITY_FAMILIES), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--base-n", type=int, default=None, help="base cube dimension for --family power")
-    p.add_argument("--step", type=int, default=None, help="sample every STEP indices (default: k/200)")
+    p.add_argument("--k", type=_int_in(1), required=True, help="capped per family")
+    p.add_argument("--base-n", type=_int_in(1, 20), default=None, help="base cube dimension for --family power")
+    p.add_argument("--step", type=_int_in(1), default=None, help="sample every STEP indices (default: k/200)")
     p.add_argument("--verify", action="store_true", help="cross-check counts where a brute route exists")
     _add_common(p)
     p.set_defaults(handler=_cmd_density)

@@ -19,8 +19,8 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, loc
 from fractions import Fraction
 from functools import cached_property
 
-from .numeric import _CTX, fibonacci, fibonacci_pair, lucas, to_decimal
-from .words import BitWord, WordClass, enumerate_bits, is_fibonacci
+from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, lucas, to_decimal
+from .words import BitWord, WordClass, _iter_bits, enumerate_bits, is_fibonacci
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,12 @@ class CubeGraph:
     def __init__(self, word_class: WordClass, n: int):
         self.word_class = word_class
         self.n = n
-        self._bits = enumerate_bits(n, word_class)
         self._adj: list[list[int]] | None = None
+
+    @cached_property
+    def _bits(self) -> list[int]:
+        # built on first use: the streamed eccentricity routes never need it
+        return enumerate_bits(self.n, self.word_class)
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -144,12 +148,13 @@ class CubeGraph:
         """
         if method == "bfs":
             return [max(self._connected_levels(i)) for i in range(len(self._bits))]
+        words = _iter_bits(self.n, self.word_class)  # the order of _bits, without holding it
         if method == "hamming":
-            return [_farthest_word_distance(b, self.n, self.word_class) for b in self._bits]
+            return [_farthest_word_distance(b, self.n, self.word_class) for b in words]
         if method == "fast":
             if self.word_class is not WordClass.FIBONACCI:
                 raise ValueError("the suffix recursion applies to Fibonacci cubes only")
-            return [_stripped_ecc(self.n, b) for b in self._bits]
+            return [_stripped_ecc(self.n, b) for b in words]
         raise ValueError(f"unknown eccentricity method {method!r}")
 
     def ecc_histogram(self, method: str = "bfs") -> EccHistogram:
@@ -184,15 +189,12 @@ def _farthest_word_distance(bits: int, n: int, kind: WordClass) -> int:
     return best
 
 
-# Eccentricities on the trivial Fibonacci cubes, keyed by (length, bits).
-_BASE_ECC = {(0, 0): 0, (1, 0): 1, (1, 1): 1, (2, 0b00): 1, (2, 0b01): 2, (2, 0b10): 2}
-
-
 def eccentricity_fast(w: BitWord) -> int:
     """Eccentricity in the Fibonacci cube of the word's length, in O(n).
 
     Strips the word by its last two symbols (both symbols when it ends
-    00, one symbol otherwise); every strip adds exactly 1.
+    00, one symbol otherwise); every strip adds exactly 1, and a word of
+    length 0 or 1 has eccentricity equal to its length.
     """
     if not is_fibonacci(w):
         raise ValueError(f"{w!s} has adjacent 1s")
@@ -201,7 +203,7 @@ def eccentricity_fast(w: BitWord) -> int:
 
 def _stripped_ecc(n: int, bits: int) -> int:
     steps = 0
-    while n > 2:
+    while n > 1:
         if bits & 3 == 0:
             n -= 2
             bits >>= 2
@@ -209,7 +211,7 @@ def _stripped_ecc(n: int, bits: int) -> int:
             n -= 1
             bits >>= 1
         steps += 1
-    return steps + _BASE_ECC[(n, bits)]
+    return steps + n
 
 
 def _require_kind(kind: WordClass) -> None:
@@ -232,7 +234,7 @@ def ecc_sum_closed(n: int, kind: WordClass) -> int:
     """Sum of all vertex eccentricities, by closed form.
 
     Fibonacci: (3F(n) + 4nF(n+1) + 3nF(n))/5, where the division is exact
-    for every valid n (guarded anyway). Lucas (n >= 1):
+    for every valid n (checked anyway). Lucas (n >= 1):
     nF(n+1) + (-1)^n n + (-1)^(n+1) floor(n/2).
     """
     _require_kind(kind)
@@ -240,10 +242,7 @@ def ecc_sum_closed(n: int, kind: WordClass) -> int:
         if n < 0:
             raise ValueError("dimension must be >= 0")
         fn, fn1 = fibonacci_pair(n)
-        q, r = divmod(3 * fn + 4 * n * fn1 + 3 * n * fn, 5)
-        if r:
-            raise ArithmeticError(f"eccentricity sum for n={n} not divisible by 5")
-        return q
+        return _exact_div(3 * fn + 4 * n * fn1 + 3 * n * fn, 5)
     if n < 1:
         raise ValueError("the Lucas closed form needs n >= 1")
     fn, fn1 = fibonacci_pair(n)
@@ -273,10 +272,7 @@ def edge_count(n: int, kind: WordClass) -> int:
         if n < 0:
             raise ValueError("dimension must be >= 0")
         fn, fn1 = fibonacci_pair(n)
-        q, r = divmod(n * fn1 + 2 * (n + 1) * fn, 5)
-        if r:
-            raise ArithmeticError(f"edge count for n={n} not divisible by 5")
-        return q
+        return _exact_div(n * fn1 + 2 * (n + 1) * fn, 5)
     if n < 1:
         raise ValueError("the Lucas closed form needs n >= 1")
     return n * fibonacci(n - 1)
@@ -319,10 +315,12 @@ def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
 
 
 def weight_ratio_average_decimal(n: int, kind: WordClass):
-    """Same mean at package precision, from the correctly rounded ratios;
-    preferred for large n, where the exact rational's denominator grows out of hand."""
-    with localcontext(_CTX):
-        return sum(r for *_, r in weight_rows(n, kind)) / n
+    """Same mean at package precision, rounded once: the ratios are summed
+    with guard digits enough for n roundings; preferred for large n, where
+    the exact rational's denominator grows out of hand."""
+    with localcontext(Context(prec=DIGITS + len(str(n)) + 5)) as guard:
+        total = sum(guard.divide(z, o) for _, z, o, _ in weight_rows(n, kind))
+    return _CTX.divide(total, n)
 
 
 # Exact integer arithmetic in Decimal for the table sweeps: libmpdec writes
@@ -331,7 +329,7 @@ def weight_ratio_average_decimal(n: int, kind: WordClass):
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
-def _exact_div(a: Decimal, d: int) -> Decimal:
+def _exact_div(a: int | Decimal, d: int) -> int | Decimal:
     q, r = divmod(a, d)
     if r:
         raise ArithmeticError(f"{a} is not divisible by {d}")

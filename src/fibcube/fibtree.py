@@ -23,31 +23,28 @@ class LabelingKind(Enum):
     THETA = "theta"
 
 
-def _label_rows(n: int, labeling: LabelingKind) -> list[tuple[str, int]]:
-    """(label, depth) for every leaf, left to right.
+def _label_rows(n: int, labeling: LabelingKind) -> list[tuple[int, int]]:
+    """(label, depth) for every leaf, left to right; a label is the int
+    encoding of a word of length n - 1, b1 the most significant bit.
 
     Base labels: index 1 carries the empty word; index 2 has left leaf
-    "1" and right leaf "0". Growing from index k-1 and k-2 to index k,
-    right leaves gain "01" (standard) or "00" (theta); left leaves gain
-    "0" (standard) or, for theta, "0" after a trailing 1 and "1"
-    otherwise.
+    1 and right leaf 0. Growing from index k-1 and k-2 to index k,
+    right leaves gain 01 (standard) or 00 (theta); left leaves gain
+    0 (standard) or, for theta, the complement of their last bit.
     """
     if n < 1:
         raise ValueError("tree index must be >= 1")
-    if n == 1:
-        return [("", 0)]
-    prev2: list[tuple[str, int]] = [("", 0)]
-    prev1: list[tuple[str, int]] = [("1", 1), ("0", 1)]
+    prev2, prev1 = [(0, 0)], [(1, 1), (0, 1)]
     theta = labeling is LabelingKind.THETA
     for _ in range(3, n + 1):
         if theta:
-            left = [(lbl + ("0" if lbl.endswith("1") else "1"), d + 1) for lbl, d in prev1]
-            right = [(lbl + "00", d + 1) for lbl, d in prev2]
+            left = [(b << 1 | (not b & 1), d + 1) for b, d in prev1]
+            right = [(b << 2, d + 1) for b, d in prev2]
         else:
-            left = [(lbl + "0", d + 1) for lbl, d in prev1]
-            right = [(lbl + "01", d + 1) for lbl, d in prev2]
+            left = [(b << 1, d + 1) for b, d in prev1]
+            right = [(b << 2 | 1, d + 1) for b, d in prev2]
         prev2, prev1 = prev1, left + right
-    return prev1
+    return prev2 if n == 1 else prev1
 
 
 class LeafTree:
@@ -88,7 +85,7 @@ class LeafTree:
 
 
 def build(n: int, labeling: LabelingKind = LabelingKind.THETA) -> LeafTree:
-    rows = [(BitWord.from_string(lbl), d) for lbl, d in _label_rows(n, labeling)]
+    rows = [(BitWord(n - 1, b), d) for b, d in _label_rows(n, labeling)]
     return LeafTree(n, labeling, rows)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibcube import cube, density, words
+from fibcube import cli, cube, density, fibtree, series, words
 from fibcube.cli import _KINDS, _agree, format_significant, run
 from fibcube.numeric import decimal_context, fibonacci, lucas, to_decimal
 
@@ -102,6 +102,8 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
         (["ecc-table", "--kind", "lucas", "--n-max", "20000"], 20001),
         (["weights", "--kind", "fib", "--n", "10000"], 10002),
         (["ecc-hist", "--kind", "lucas", "--n", "500", "--method", "gf"], 252),
+        # streams the words: the vertex list alone would take ~80 MB
+        (["ecc-hist", "--kind", "fib", "--n", "30", "--method", "fast"], 17),
     ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
@@ -260,18 +262,17 @@ def test_ecc_hist_verify_paths(capsys):
 
 
 def test_ecc_hist_gf_cap(capsys):
-    from fibcube.cli import _GF_MAX_N, _KINDS
+    from fibcube.cli import _ECC_HIST_CAPS, _KINDS
 
+    cap = _ECC_HIST_CAPS["--method gf"]
     for kind in ("fib", "lucas"):
-        code, out = capture(
-            capsys, ["ecc-hist", "--kind", kind, "--n", str(_GF_MAX_N), "--method", "gf", "--format", "csv"]
-        )
+        code, out = capture(capsys, ["ecc-hist", "--kind", kind, "--n", str(cap), "--method", "gf", "--format", "csv"])
         assert code == 0
         rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[1:]]
-        assert sum(c for _, c in rows) == cube.vertex_count(_GF_MAX_N, _KINDS[kind])
-        assert sum(k * c for k, c in rows) == cube.ecc_sum_closed(_GF_MAX_N, _KINDS[kind])
-        assert run(["ecc-hist", "--kind", kind, "--n", str(_GF_MAX_N + 1), "--method", "gf"]) == 1
-        assert capsys.readouterr().err == f"error: --n must be <= 30, or <= {_GF_MAX_N} with --method gf\n"
+        assert sum(c for _, c in rows) == cube.vertex_count(cap, _KINDS[kind])
+        assert sum(k * c for k, c in rows) == cube.ecc_sum_closed(cap, _KINDS[kind])
+        assert run(["ecc-hist", "--kind", kind, "--n", str(cap + 1), "--method", "gf"]) == 1
+        assert capsys.readouterr().err == f"error: --n must be <= {cap} with --method gf\n"
     # the enumerating routes keep their caps
     assert run(["ecc-hist", "--kind", "fib", "--n", "31", "--method", "fast"]) == 1
     assert run(["ecc-hist", "--kind", "fib", "--n", "17", "--method", "bfs"]) == 1
@@ -456,6 +457,48 @@ def test_limits_values_within_tolerances(capsys):
     }
     for name, tol in tolerances.items():
         assert Decimal(rows[name][3]) < Decimal(tol), name
+
+
+# (argv, the error line); every range on an argument is checked as it is parsed
+RANGE_ERRORS = [
+    (["limits", "--digits", "0"], "argument --digits: must lie in 1..50"),
+    (["limits", "--digits", "51"], "argument --digits: must lie in 1..50"),
+    (["ecc-table", "--kind", "fib", "--n-max", "0"], "argument --n-max: must lie in 1..20000"),
+    (["ecc-table", "--kind", "fib", "--n-max", "20001"], "argument --n-max: must lie in 1..20000"),
+    (["weights", "--kind", "fib", "--n", "0"], "argument --n: must lie in 1..10000"),
+    (["weights", "--kind", "fib", "--n", "10001"], "argument --n: must lie in 1..10000"),
+    (["tree-check", "--n", "17"], "argument --n: must lie in 1..16"),
+    (["tree-print", "--n", "21"], "argument --n: must lie in 1..20"),
+    (["enumerate", "--kind", "fib", "--n", "31"], "argument --n: must lie in 0..30"),
+    (["ecc-hist", "--kind", "fib", "--n", "-1"], "argument --n: must be >= 0"),
+    (["density", "--family", "fib", "--k", "0"], "argument --k: must be >= 1"),
+    (["density", "--family", "cycles", "--k", "9", "--step", "0"], "argument --step: must be >= 1"),
+    (["density", "--family", "power", "--k", "3", "--base-n", "21"], "argument --base-n: must lie in 1..20"),
+    (["ecc-table", "--kind", "fib", "--n-max", "x"], "argument --n-max: invalid int value: 'x'"),
+    (["limits", "--digits", "1.5"], "argument --digits: invalid int value: '1.5'"),
+    # caps that depend on another argument are checked by the handler
+    (["enumerate", "--kind", "hyper", "--n", "21"], "--n must lie in 0..20 for kind hyper"),
+    (["ecc-hist", "--kind", "fib", "--n", "17", "--method", "bfs"], "--n must be <= 16 with --method bfs"),
+    (["ecc-hist", "--kind", "fib", "--n", "31", "--method", "fast"], "--n must be <= 30 with --method fast"),
+    (["ecc-hist", "--kind", "lucas", "--n", "501", "--method", "gf"], "--n must be <= 500 with --method gf"),
+    (["ecc-hist", "--kind", "fib", "--n", "17", "--method", "gf", "--verify"], "--n must be <= 16 with --verify"),
+    (["density", "--family", "fib", "--k", "20001"], "--k must be <= 20000 for family fib"),
+]
+
+
+@pytest.mark.parametrize("argv, message", RANGE_ERRORS)
+def test_out_of_range_arguments_exit_one_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    for owner, name in [(cube, "CubeGraph"), (cube, "ecc_rows"), (cube, "weight_rows"), (density, "rho_limit"),
+                        (cli, "word_blocks"), (fibtree, "build"), (fibtree, "verify_depth_eccentricity"),
+                        (series, "fibonacci_ecc_gf"), (series, "lucas_ecc_gf")]:
+        monkeypatch.setattr(owner, name, no_work)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -23,7 +23,7 @@ from fibcube.cube import (
     weight_rows,
 )
 from fibcube.density import density_lemma_check
-from fibcube.numeric import fibonacci, lucas, to_decimal
+from fibcube.numeric import DIGITS, fibonacci, lucas, to_decimal
 from fibcube.words import BitWord, WordClass, enumerate_bits
 
 W = BitWord.from_string
@@ -68,7 +68,7 @@ def test_eccentricity_fast_examples():
 
 
 def test_fast_route_on_the_graph_matches_per_word_and_hamming():
-    for n in range(17):
+    for n in range(19):
         g = CubeGraph(FIB, n)
         fast = g.eccentricities("fast")
         assert fast == [eccentricity_fast(w) for w in g.words()]
@@ -80,6 +80,7 @@ def test_vertex_index_is_built_on_first_lookup():
     g.eccentricities("fast")
     g.eccentricities("hamming")
     assert "_index" not in vars(g)
+    assert "_bits" not in vars(g)  # the two routes stream the words
     assert g.index_of(W("000101")) == g.vertex_bits.index(0b000101)
     assert W("000011") not in g
     assert "_index" in vars(g)
@@ -172,6 +173,20 @@ def test_weight_ratio_average_examples():
 def test_weight_ratio_average_lucas_length_one_undefined():
     with pytest.raises(ValueError):
         weight_ratio_average(1, LUC)
+
+
+def _mean_to_200_digits(n, kind):
+    with localcontext(Context(prec=200)):
+        return sum(zero / one for _, zero, one, _ in weight_rows(n, kind)) / n
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_weight_ratio_decimal_is_the_correctly_rounded_mean(kind):
+    for n in [*range(2, 401), 1000, 3000, 10000]:
+        mean = weight_ratio_average_decimal(n, kind)
+        assert mean == Context(prec=DIGITS).plus(_mean_to_200_digits(n, kind)), n
+        if kind is LUC:  # every Lucas ratio is F(n+1)/F(n-1)
+            assert mean == to_decimal(fibonacci(n + 1), fibonacci(n - 1)), n
 
 
 def test_weight_ratio_decimal_agrees_with_exact():

@@ -63,6 +63,25 @@ def test_labelings_are_bijections_onto_words():
         assert {label for label, _ in build(n, STD).leaves()} == expected
 
 
+def string_labels(n, labeling):
+    # the labels grown as text: left leaves gain "0" (standard) or the
+    # complement of their last symbol (theta), right leaves "01" or "00"
+    prev2, prev1 = [""], ["1", "0"]
+    for _ in range(3, n + 1):
+        if labeling is THETA:
+            left = [lbl + ("0" if lbl.endswith("1") else "1") for lbl in prev1]
+        else:
+            left = [lbl + "0" for lbl in prev1]
+        prev2, prev1 = prev1, left + [lbl + ("00" if labeling is THETA else "01") for lbl in prev2]
+    return prev2 if n == 1 else prev1
+
+
+def test_integer_labels_match_the_labels_grown_as_text():
+    for labeling in (THETA, STD):
+        for n in range(1, 17):
+            assert [str(label) for label, _ in build(n, labeling).leaves()] == string_labels(n, labeling)
+
+
 def fibonacci_tree_depths(n):
     # leaf depths, left to right, of the tree with subtrees of index n-1 and n-2
     return [0] if n <= 1 else [d + 1 for d in fibonacci_tree_depths(n - 1) + fibonacci_tree_depths(n - 2)]
