@@ -32,7 +32,7 @@ _VERIFY_MAX_N = 16
 # and so do explicit Cartesian powers, by their vertex count
 _VERIFY_MAX_VERTICES = 5000
 # ecc-hist caps on --n, by the option that picks the routes run; at its cap
-# fast takes ~5 s and 33 MB, gf ~0.2 s and 24 MB for --kind lucas
+# fast takes ~5 s and 117 MB, gf ~0.2 s and 24 MB for --kind lucas
 _ECC_HIST_CAPS = {
     "--method bfs": _VERIFY_MAX_N, "--method fast": 30, "--method gf": 500, "--verify": _VERIFY_MAX_N
 }
@@ -181,15 +181,15 @@ def _cmd_weights(args) -> int:
     if args.verify and n > _VERIFY_MAX_N:
         raise _UsageError(f"--verify needs --n <= {_VERIFY_MAX_N}")
     if args.verify:
-        for i, zero, one, _ in cube.weight_rows(n, kind):
+        for i, zero, one in cube.weight_rows(n, kind):
             brute = tuple(cube.weight_count_brute(n, i, chi, kind) for chi in (0, 1))
             if not _agree(f"i={i}", "weight counts", sweep=(int(zero), int(one)), brute=brute):
                 return 2
     avg = format_significant(cube.weight_ratio_average_decimal(n, kind), args.digits)
 
     def rows():
-        for i, zero, one, ratio in cube.weight_rows(n, kind):
-            yield [str(i), (zero,), (one,), format_significant(ratio, args.digits)]
+        for i, zero, one in cube.weight_rows(n, kind):
+            yield [str(i), (zero,), (one,), format_significant(_CTX.divide(zero, one), args.digits)]
         yield ["avg", "", "", avg]
 
     _emit(_table(["i", "zero_count", "one_count", "ratio"], rows, args.format))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, lucas, to_decimal
-from .words import BitWord, WordClass, _iter_bits, enumerate_bits, is_fibonacci
+from .words import BitWord, WordClass, enumerate_bits, is_fibonacci
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,8 @@ class CubeGraph:
     def __init__(self, word_class: WordClass, n: int):
         self.word_class = word_class
         self.n = n
+        self._bits = enumerate_bits(n, word_class)
         self._adj: list[list[int]] | None = None
-
-    @cached_property
-    def _bits(self) -> list[int]:
-        # built on first use: the streamed eccentricity routes never need it
-        return enumerate_bits(self.n, self.word_class)
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -148,13 +144,12 @@ class CubeGraph:
         """
         if method == "bfs":
             return [max(self._connected_levels(i)) for i in range(len(self._bits))]
-        words = _iter_bits(self.n, self.word_class)  # the order of _bits, without holding it
         if method == "hamming":
-            return [_farthest_word_distance(b, self.n, self.word_class) for b in words]
+            return [_farthest_word_distance(b, self.n, self.word_class) for b in self._bits]
         if method == "fast":
             if self.word_class is not WordClass.FIBONACCI:
                 raise ValueError("the suffix recursion applies to Fibonacci cubes only")
-            return [_stripped_ecc(self.n, b) for b in words]
+            return [_stripped_ecc(self.n, b) for b in self._bits]
         raise ValueError(f"unknown eccentricity method {method!r}")
 
     def ecc_histogram(self, method: str = "bfs") -> EccHistogram:
@@ -311,15 +306,17 @@ def weight_count_brute(n: int, i: int, chi: int, kind: WordClass) -> int:
 
 def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
     """Mean over positions of (#words with 0 there) / (#words with 1 there). Exact."""
-    return sum((Fraction(int(z), int(o)) for _, z, o, _ in weight_rows(n, kind)), Fraction(0)) / n
+    return sum((Fraction(int(z), int(o)) for _, z, o in weight_rows(n, kind)), Fraction(0)) / n
 
 
 def weight_ratio_average_decimal(n: int, kind: WordClass):
-    """Same mean at package precision, rounded once: the ratios are summed
-    with guard digits enough for n roundings; preferred for large n, where
-    the exact rational's denominator grows out of hand."""
+    """Same mean at package precision; preferred for large n, where the exact
+    rational's denominator grows out of hand. The ratios are divided and summed
+    with len(str(n)) + 5 guard digits, so the sum is off by under 1e-4 units in
+    the last place of the mean, which then is rounded once. Only a mean within
+    that distance of a halfway point can round the other way."""
     with localcontext(Context(prec=DIGITS + len(str(n)) + 5)) as guard:
-        total = sum(guard.divide(z, o) for _, z, o, _ in weight_rows(n, kind))
+        total = sum(guard.divide(z, o) for _, z, o in weight_rows(n, kind))
     return _CTX.divide(total, n)
 
 
@@ -366,7 +363,7 @@ def ecc_rows(n_max: int, kind: WordClass):
 
 
 def weight_rows(n: int, kind: WordClass):
-    """Rows (i, zero, one, zero / one) for positions i = 1..n, from one sweep:
+    """Rows (i, zero, one) for positions i = 1..n, from one sweep:
     the counts of words with 0 and with 1 at position i, as exact integer
     Decimals by the closed forms of weight_count, which stays the reference."""
     _require_kind(kind)
@@ -385,7 +382,7 @@ def weight_rows(n: int, kind: WordClass):
         zero, one = (f0 + f1,) * 3, (f0,) * 3  # F(n+1), F(n-1)
     (z0, z1, z2), (o0, o1, o2) = map(Decimal, zero), map(Decimal, one)
     for i in range(1, n + 1):
-        yield i, z0, o0, _CTX.divide(z0, o0)
+        yield i, z0, o0
         with localcontext(_EXACT):
             z0, z1, z2 = z1, z2, z0 + 2 * (z1 - z2)
             o0, o1, o2 = o1, o2, o0 + 2 * (o1 - o2)

@@ -102,8 +102,6 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
         (["ecc-table", "--kind", "lucas", "--n-max", "20000"], 20001),
         (["weights", "--kind", "fib", "--n", "10000"], 10002),
         (["ecc-hist", "--kind", "lucas", "--n", "500", "--method", "gf"], 252),
-        # streams the words: the vertex list alone would take ~80 MB
-        (["ecc-hist", "--kind", "fib", "--n", "30", "--method", "fast"], 17),
     ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
