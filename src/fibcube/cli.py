@@ -185,12 +185,18 @@ def _cmd_weights(args) -> int:
             brute = tuple(cube.weight_count_brute(n, i, chi, kind) for chi in (0, 1))
             if not _agree(f"i={i}", "weight counts", sweep=(int(zero), int(one)), brute=brute):
                 return 2
-    avg = format_significant(cube.weight_ratio_average_decimal(n, kind), args.digits)
+    ratios: list[str] = []  # each ratio cell, then the mean, rendered in the first pass only
 
     def rows():
-        for i, zero, one in cube.weight_rows(n, kind):
-            yield [str(i), (zero,), (one,), format_significant(_CTX.divide(zero, one), args.digits)]
-        yield ["avg", "", "", avg]
+        if ratios:
+            for (i, zero, one), ratio in zip(cube.weight_rows(n, kind), ratios):
+                yield [str(i), (zero,), (one,), ratio]
+        else:
+            for i, zero, one, total in cube.weight_ratio_sums(n, kind):
+                ratios.append(format_significant(_CTX.divide(zero, one), args.digits))
+                yield [str(i), (zero,), (one,), ratios[-1]]
+            ratios.append(format_significant(_CTX.divide(total, n), args.digits))
+        yield ["avg", "", "", ratios[-1]]
 
     _emit(_table(["i", "zero_count", "one_count", "ratio"], rows, args.format))
     return 0
@@ -227,11 +233,10 @@ def _fib_powers(base_n: int | None) -> density.GraphFamily:
     return density.power_family(nv, ne, name=f"fib-{base_n}-powers")
 
 
-# --family -> (family from --base-n, cap on --k); cube counts beyond
-# dimension 20000 exceed the interpreter's integer print limit
+# --family -> (family from --base-n, cap on --k); the cube caps are the row bound
 _DENSITY_FAMILIES = {
-    "fib": (lambda _: density.fibonacci_cube_family(), 20000),
-    "lucas": (lambda _: density.lucas_cube_family(), 20000),
+    "fib": (lambda _: density.fibonacci_cube_family(), _DENSITY_MAX_ROWS),
+    "lucas": (lambda _: density.lucas_cube_family(), _DENSITY_MAX_ROWS),
     "skk": (lambda _: density.subdivided_complete_family(), 10**6),
     "cycles": (lambda _: density.even_cycle_family(), 10**12),
     "power": (_fib_powers, 1000),
@@ -272,10 +277,9 @@ def _cmd_density(args) -> int:
         for r, counts in zip(small, brute):
             if not _agree(f"k={r.k}", "counts", closed=(r.num_vertices, r.num_edges), brute=counts):
                 return 2
-    rows = [
-        [str(r.k), str(r.num_vertices), str(r.num_edges), format_significant(r.rho, args.digits)]
-        for r in table
-    ]
+    # a cube family's counts are exact integer Decimals: cells that _table renders as it writes
+    rows = [[str(r.k), *((c,) if isinstance(c, Decimal) else str(c) for c in (r.num_vertices, r.num_edges)),
+             format_significant(r.rho, args.digits)] for r in table]
     _emit(_table(["k", "vertices", "edges", "rho"], lambda: rows, args.format))
     return 0
 
@@ -295,29 +299,13 @@ def _cmd_limits(args) -> int:
         ("avg-deg-over-n-lucas", deg_limit, to_decimal(cube.average_degree(_DEG_SCALE, luc) / _DEG_SCALE)),
         ("weight-ratio-fib", phi_sq, cube.weight_ratio_average_decimal(_WEIGHT_FIB_SCALE, fib)),
         ("weight-ratio-lucas", phi_sq, cube.weight_ratio_average_decimal(_WEIGHT_LUCAS_SCALE, luc)),
-        (
-            "rho-fib",
-            rho_limit_const,
-            density.rho((cube.vertex_count(_RHO_SCALE, fib), cube.edge_count(_RHO_SCALE, fib))),
-        ),
-        (
-            "rho-lucas",
-            rho_limit_const,
-            density.rho((cube.vertex_count(_RHO_SCALE, luc), cube.edge_count(_RHO_SCALE, luc))),
-        ),
+        ("rho-fib", rho_limit_const, density.rho(density.fibonacci_cube_family().counts(_RHO_SCALE))),
+        ("rho-lucas", rho_limit_const, density.rho(density.lucas_cube_family().counts(_RHO_SCALE))),
     ]
     rows = []
     for name, limit, value in rows_data:
-        with localcontext(_CTX):
-            err = abs(value - limit)
-        rows.append(
-            [
-                name,
-                format_significant(limit, args.digits),
-                format_significant(value, args.digits),
-                format_significant(err, args.digits),
-            ]
-        )
+        cells = limit, value, _CTX.abs(_CTX.subtract(value, limit))
+        rows.append([name, *(format_significant(d, args.digits) for d in cells)])
     _emit(_table(["name", "limit", "value", "abs_error"], lambda: rows, args.format, left=frozenset({0})))
     return 0
 

@@ -14,6 +14,7 @@ found by a DP over the class's automaton in O(n) per vertex.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -310,14 +311,9 @@ def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
 
 
 def weight_ratio_average_decimal(n: int, kind: WordClass):
-    """Same mean at package precision; preferred for large n, where the exact
-    rational's denominator grows out of hand. The ratios are divided and summed
-    with len(str(n)) + 5 guard digits, so the sum is off by under 1e-4 units in
-    the last place of the mean, which then is rounded once. Only a mean within
-    that distance of a halfway point can round the other way."""
-    with localcontext(Context(prec=DIGITS + len(str(n)) + 5)) as guard:
-        total = sum(guard.divide(z, o) for _, z, o in weight_rows(n, kind))
-    return _CTX.divide(total, n)
+    """Same mean at package precision, from the last sum of weight_ratio_sums;
+    preferred for large n, where the exact rational's denominator grows out of hand."""
+    return _CTX.divide(deque(weight_ratio_sums(n, kind), maxlen=1)[0][-1], n)
 
 
 # Exact integer arithmetic in Decimal for the table sweeps: libmpdec writes
@@ -333,6 +329,30 @@ def _exact_div(a: int | Decimal, d: int) -> int | Decimal:
     return q
 
 
+def _counts(n: int, f0, f1, kind: WordClass):
+    """(vertices, edges) from F(n), F(n+1): the closed forms of vertex_count and edge_count."""
+    with localcontext(_EXACT):
+        if kind is WordClass.FIBONACCI:
+            return f0 + f1, _exact_div(n * f1 + 2 * (n + 1) * f0, 5)
+        return 2 * f1 - f0, n * (f1 - f0)
+
+
+def count_rows(ks: range, kind: WordClass):
+    """Rows (vertices, edges, vertices as an int) for the dimensions in ks, from
+    one sweep of F(k), F(k+1) in exact integer Decimals and in ints (for log2_int),
+    stepped by F(k+s) = F(k)F(s-1) + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1)."""
+    _require_kind(kind)
+    a, b = fibonacci_pair(ks.step - 1)  # F(s-1), F(s)
+    ints = fibonacci_pair(ks.start) + (a, b, a + b)  # F(k), F(k+1), F(s-1), F(s), F(s+1)
+    fs = [ints, tuple(map(Decimal, ints))]
+    for k in ks:
+        if k != ks.start:
+            with localcontext(_EXACT):
+                fs = [(f0 * a + f1 * b, f0 * b + f1 * c, a, b, c) for f0, f1, a, b, c in fs]
+        (nv_int, _), (nv, ne) = (_counts(k, f0, f1, kind) for f0, f1, *_ in fs)  # ints, Decimals
+        yield nv, ne, nv_int
+
+
 def ecc_rows(n_max: int, kind: WordClass):
     """Rows (n, vertices, edges, ecc_sum, (p, q), avg_ecc_over_n), n = 1..n_max,
     from one sweep of (F(n), F(n+1)): exact integer Decimals by the closed
@@ -346,20 +366,30 @@ def ecc_rows(n_max: int, kind: WordClass):
     _require_kind(kind)
     f0 = f1 = Decimal(1)  # F(n), F(n+1)
     for n in range(1, n_max + 1):
+        nv, ne = _counts(n, f0, f1, kind)
         with localcontext(_EXACT):
             if kind is WordClass.FIBONACCI:
-                nv = f0 + f1
                 m = abs(n - 3) or int(nv)
-                ne = _exact_div(n * f1 + 2 * (n + 1) * f0, 5)
                 es = _exact_div(3 * f0 + 4 * n * f1 + 3 * n * f0, 5)
             else:
                 c = (-1) ** n * (n - n // 2)
-                nv, ne, es = 2 * f1 - f0, n * (f1 - f0), n * f1 + c
-                m = (-1) ** n * n * n + 5 * c * c
+                es, m = n * f1 + c, (-1) ** n * n * n + 5 * c * c
             g = math.gcd(m, int(es % m), int(nv % m))
             row = n, nv, ne, es, (_exact_div(es, g), _exact_div(nv, g)), _CTX.divide(es, nv * n)
             f0, f1 = f1, f0 + f1
         yield row
+
+
+def weight_ratio_sums(n: int, kind: WordClass):
+    """weight_rows(n, kind), each row with the sum of zero/one up to it. The ratios
+    are divided and summed with len(str(n)) + 5 guard digits, so the last sum is off
+    by under 1e-4 units in the last place of the mean. Rounded once, only a mean
+    within that distance of a halfway point can round the other way."""
+    guard = Context(prec=DIGITS + len(str(n)) + 5)
+    total = Decimal(0)
+    for i, zero, one in weight_rows(n, kind):
+        total = guard.add(total, guard.divide(zero, one))
+        yield i, zero, one, total
 
 
 def weight_rows(n: int, kind: WordClass):

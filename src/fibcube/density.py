@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from typing import Callable
 
-from .cube import CubeGraph, edge_count, vertex_count
+from .cube import _EXACT, CubeGraph, count_rows, edge_count, vertex_count
 from .numeric import _CTX, log2_int, to_decimal
 from .words import BitWord, WordClass
 
@@ -73,20 +73,19 @@ class ExplicitGraph:
         return cls.from_cube(CubeGraph(WordClass.UNRESTRICTED, k))
 
 
-def rho(graph: ExplicitGraph | tuple[int, int]) -> Decimal:
-    """Average degree divided by log2 of the vertex count.
-
-    Accepts an ExplicitGraph or a bare (vertices, edges) pair, since the
-    value only depends on the two counts.
-    """
+def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal], nv_int: int | None = None) -> Decimal:
+    """Average degree divided by log2 of the vertex count. It depends on the counts
+    alone: of an ExplicitGraph, or a bare (vertices, edges) pair of ints, or of exact
+    integer Decimals with the vertex count also as the int ``nv_int``."""
     if isinstance(graph, ExplicitGraph):
         nv, ne = graph.num_vertices, graph.num_edges
     else:
         nv, ne = graph
     if nv <= 1:
         raise ValueError("density undefined for graphs with fewer than two vertices")
-    with localcontext(_CTX):
-        return to_decimal(2 * ne, nv) / log2_int(nv)
+    if isinstance(ne, Decimal):
+        return _CTX.divide(_CTX.divide(_EXACT.multiply(2, ne), nv), log2_int(nv_int))
+    return _CTX.divide(to_decimal(2 * ne, nv), log2_int(nv))
 
 
 def density_lemma_check(nv: int, ne: int) -> tuple[bool, bool]:
@@ -150,28 +149,25 @@ def cartesian_power(g: ExplicitGraph, k: int) -> ExplicitGraph:
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """An increasing family given by closed-form counts per index."""
+    """An increasing family given by closed-form counts per index; for cubes, by a kind's sweep."""
 
     name: str
     first_index: int
     counts: Callable[[int], tuple[int, int]]
+    kind: WordClass | None = None
+
+
+def _cube_family(name: str, first_index: int, kind: WordClass) -> GraphFamily:
+    return GraphFamily(name, first_index, lambda n: (vertex_count(n, kind), edge_count(n, kind)), kind)
 
 
 def fibonacci_cube_family() -> GraphFamily:
-    return GraphFamily(
-        "fibonacci-cubes",
-        1,
-        lambda n: (vertex_count(n, WordClass.FIBONACCI), edge_count(n, WordClass.FIBONACCI)),
-    )
+    return _cube_family("fibonacci-cubes", 1, WordClass.FIBONACCI)
 
 
 def lucas_cube_family() -> GraphFamily:
     # starts at 2: the length-1 cube has a single vertex, so no density
-    return GraphFamily(
-        "lucas-cubes",
-        2,
-        lambda n: (vertex_count(n, WordClass.LUCAS), edge_count(n, WordClass.LUCAS)),
-    )
+    return _cube_family("lucas-cubes", 2, WordClass.LUCAS)
 
 
 def subdivided_complete_family() -> GraphFamily:
@@ -197,8 +193,8 @@ def power_family(base_vertices: int, base_edges: int, name: str = "powers") -> G
 @dataclass(frozen=True)
 class RhoRow:
     k: int
-    num_vertices: int
-    num_edges: int
+    num_vertices: int | Decimal
+    num_edges: int | Decimal
     rho: Decimal
 
 
@@ -209,13 +205,14 @@ def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, .
         raise ValueError(f"k_max below the family's first index {family.first_index}")
     if step < 1:
         raise ValueError("step must be >= 1")
+    ks = range(k_max - (k_max - family.first_index) // step * step, k_max + 1, step)
+    counts = ((*family.counts(k), None) for k in ks) if family.kind is None else count_rows(ks, family.kind)
     rows = []
     prev_nv = 0
-    for k in range(k_max - (k_max - family.first_index) // step * step, k_max + 1, step):
-        nv, ne = family.counts(k)
+    for k, (nv, ne, nv_int) in zip(ks, counts):
         if nv <= prev_nv:
             raise ArithmeticError(f"family {family.name} is not increasing at k={k}")
         prev_nv = nv
-        rows.append(RhoRow(k, nv, ne, rho((nv, ne))))
+        rows.append(RhoRow(k, nv, ne, rho((nv, ne), nv_int)))
     return tuple(rows)
 

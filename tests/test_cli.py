@@ -102,6 +102,8 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
         (["ecc-table", "--kind", "lucas", "--n-max", "20000"], 20001),
         (["weights", "--kind", "fib", "--n", "10000"], 10002),
         (["ecc-hist", "--kind", "lucas", "--n", "500", "--method", "gf"], 252),
+        (["density", "--family", "fib", "--k", "20000"], 201),
+        (["density", "--family", "lucas", "--k", "20000"], 201),
     ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
@@ -156,6 +158,37 @@ def test_weights_match_the_int_rendering(capsys, fmt, kind, n):
     code, out = capture(capsys, ["weights", "--kind", kind, "--n", str(n), "--format", fmt])
     assert code == 0
     assert out == _old_table(["i", "zero_count", "one_count", "ratio"], rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("digits", [12, 50])
+@pytest.mark.parametrize(
+    "family, k, step",
+    [("fib", 1, None), ("lucas", 2, None), ("fib", 3, 1), ("lucas", 300, None), ("fib", 1000, 7),
+     ("fib", 20000, None), ("lucas", 20000, None), ("lucas", 20000, 20000)],
+)
+def test_density_matches_the_int_rendering(capsys, fmt, digits, family, k, step):
+    fam = {"fib": density.fibonacci_cube_family, "lucas": density.lucas_cube_family}[family]()
+    stride = step or max(1, k // 200)
+    rows = []
+    for j in range(k - (k - fam.first_index) // stride * stride, k + 1, stride):
+        nv, ne = fam.counts(j)
+        rows.append([str(j), str(nv), str(ne), format_significant(density.rho((nv, ne)), digits)])
+    argv = ["density", "--family", family, "--k", str(k), "--format", fmt, "--digits", str(digits)]
+    code, out = capture(capsys, argv + (["--step", str(step)] if step else []))
+    assert code == 0
+    assert out == _old_table(["k", "vertices", "edges", "rho"], rows, fmt)
+
+
+@pytest.mark.parametrize("fmt, sweeps", [("text", 2), ("csv", 1)])
+def test_weights_sweeps_once_per_table_pass(capsys, monkeypatch, fmt, sweeps):
+    calls = []
+    sweep = cube.weight_rows
+    monkeypatch.setattr(cube, "weight_rows", lambda n, kind: calls.append(n) or sweep(n, kind))
+    # the mean is summed in the first pass; test_weights_match_the_int_rendering checks the text
+    code, _ = capture(capsys, ["weights", "--kind", "fib", "--n", "9", "--format", fmt])
+    assert code == 0
+    assert calls == [9] * sweeps
 
 
 ALL_COMMANDS = [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibcube import cube
 from fibcube.cube import CubeGraph, edge_count, vertex_count, weight_ratio_average
 from fibcube.density import (
     ExplicitGraph,
@@ -172,6 +173,50 @@ def test_rho_limit_fibonacci_and_lucas():
 
     rows = rho_limit(lucas_cube_family(), 10000, step=500)
     assert abs(rows[-1].rho - RHO_CUBES) < Decimal("1e-3")
+
+
+def _sampled_k(family, k_max, step):
+    return list(range(k_max - (k_max - family.first_index) // step * step, k_max + 1, step))
+
+
+def _assert_rows_match_the_int_counts(family, rows):
+    # counts equal the int closed forms, and rho equals rho of the int pair in every digit
+    for r in rows:
+        nv, ne = vertex_count(r.k, family.kind), edge_count(r.k, family.kind)
+        assert (r.num_vertices, r.num_edges) == (nv, ne), r.k
+        assert str(r.rho) == str(rho((nv, ne))), r.k
+
+
+@pytest.mark.parametrize("make_family", [fibonacci_cube_family, lucas_cube_family])
+@pytest.mark.parametrize("k_max", ["first", 2, 3, 1000, 20000])
+@pytest.mark.parametrize("step", [1, 7, 100, 500, "k_max"])
+def test_cube_rows_equal_rho_of_the_int_counts(make_family, k_max, step):
+    family = make_family()
+    k_max = family.first_index if k_max == "first" else k_max
+    step = k_max if step == "k_max" else step
+    rows = rho_limit(family, k_max, step)
+    assert [r.k for r in rows] == _sampled_k(family, k_max, step)
+    # the int reference costs ~1 ms a row at k = 20000, so a long table is
+    # checked at about 300 rows spread over it, its last row included
+    _assert_rows_match_the_int_counts(family, rows[:: -(-len(rows) // 300)] + rows[-1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([fibonacci_cube_family, lucas_cube_family]), st.integers(2, 1500), st.integers(1, 1600))
+def test_cube_rows_equal_rho_of_the_int_counts_at_any_step(make_family, k_max, step):
+    family = make_family()
+    rows = rho_limit(family, k_max, step)
+    assert [r.k for r in rows] == _sampled_k(family, k_max, step)
+    _assert_rows_match_the_int_counts(family, rows)
+
+
+def test_a_cube_table_evaluates_two_fibonacci_pairs(monkeypatch):
+    calls = []
+    evaluate = cube.fibonacci_pair
+    monkeypatch.setattr(cube, "fibonacci_pair", lambda n: calls.append(n) or evaluate(n))
+    rows = rho_limit(fibonacci_cube_family(), 20000, 100)
+    assert len(rows) == 200
+    assert calls == [99, 100]  # the stride (F(99), F(100)), then the first row's (F(100), F(101))
 
 
 def test_rho_limit_requires_increasing_family():
