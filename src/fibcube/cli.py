@@ -277,9 +277,11 @@ def _cmd_density(args) -> int:
         for r, counts in zip(small, brute):
             if not _agree(f"k={r.k}", "counts", closed=(r.num_vertices, r.num_edges), brute=counts):
                 return 2
-    # a cube family's counts are exact integer Decimals: cells that _table renders as it writes
-    rows = [[str(r.k), *((c,) if isinstance(c, Decimal) else str(c) for c in (r.num_vertices, r.num_edges)),
-             format_significant(r.rho, args.digits)] for r in table]
+    rows = []
+    for r in table:
+        # a cube family's counts are exact integer Decimals: cells that _table renders as it writes
+        counts = [(c,) if isinstance(c, Decimal) else str(c) for c in (r.num_vertices, r.num_edges)]
+        rows.append([str(r.k), *counts, format_significant(r.rho, args.digits)])
     _emit(_table(["k", "vertices", "edges", "rho"], lambda: rows, args.format))
     return 0
 
@@ -299,13 +301,29 @@ def _cmd_limits(args) -> int:
         ("avg-deg-over-n-lucas", deg_limit, to_decimal(cube.average_degree(_DEG_SCALE, luc) / _DEG_SCALE)),
         ("weight-ratio-fib", phi_sq, cube.weight_ratio_average_decimal(_WEIGHT_FIB_SCALE, fib)),
         ("weight-ratio-lucas", phi_sq, cube.weight_ratio_average_decimal(_WEIGHT_LUCAS_SCALE, luc)),
-        ("rho-fib", rho_limit_const, density.rho(density.fibonacci_cube_family().counts(_RHO_SCALE))),
-        ("rho-lucas", rho_limit_const, density.rho(density.lucas_cube_family().counts(_RHO_SCALE))),
+        (
+            "rho-fib",
+            rho_limit_const,
+            density.rho((cube.vertex_count(_RHO_SCALE, fib), cube.edge_count(_RHO_SCALE, fib))),
+        ),
+        (
+            "rho-lucas",
+            rho_limit_const,
+            density.rho((cube.vertex_count(_RHO_SCALE, luc), cube.edge_count(_RHO_SCALE, luc))),
+        ),
     ]
     rows = []
     for name, limit, value in rows_data:
-        cells = limit, value, _CTX.abs(_CTX.subtract(value, limit))
-        rows.append([name, *(format_significant(d, args.digits) for d in cells)])
+        with localcontext(_CTX):
+            err = abs(value - limit)
+        rows.append(
+            [
+                name,
+                format_significant(limit, args.digits),
+                format_significant(value, args.digits),
+                format_significant(err, args.digits),
+            ]
+        )
     _emit(_table(["name", "limit", "value", "abs_error"], lambda: rows, args.format, left=frozenset({0})))
     return 0
 

@@ -329,12 +329,17 @@ def _exact_div(a: int | Decimal, d: int) -> int | Decimal:
     return q
 
 
+def _vertices(f0, f1, kind: WordClass):
+    """The vertex count from F(n), F(n+1): the closed form of vertex_count."""
+    return f0 + f1 if kind is WordClass.FIBONACCI else 2 * f1 - f0
+
+
 def _counts(n: int, f0, f1, kind: WordClass):
     """(vertices, edges) from F(n), F(n+1): the closed forms of vertex_count and edge_count."""
     with localcontext(_EXACT):
         if kind is WordClass.FIBONACCI:
-            return f0 + f1, _exact_div(n * f1 + 2 * (n + 1) * f0, 5)
-        return 2 * f1 - f0, n * (f1 - f0)
+            return _vertices(f0, f1, kind), _exact_div(n * f1 + 2 * (n + 1) * f0, 5)
+        return _vertices(f0, f1, kind), n * (f1 - f0)
 
 
 def count_rows(ks: range, kind: WordClass):
@@ -342,15 +347,16 @@ def count_rows(ks: range, kind: WordClass):
     one sweep of F(k), F(k+1) in exact integer Decimals and in ints (for log2_int),
     stepped by F(k+s) = F(k)F(s-1) + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1)."""
     _require_kind(kind)
-    a, b = fibonacci_pair(ks.step - 1)  # F(s-1), F(s)
+    # only a step between two rows needs F(s): a one-row table skips it, however large s is
+    a, b = fibonacci_pair(ks.step - 1) if len(ks) > 1 else (0, 1)  # F(s-1), F(s)
     ints = fibonacci_pair(ks.start) + (a, b, a + b)  # F(k), F(k+1), F(s-1), F(s), F(s+1)
     fs = [ints, tuple(map(Decimal, ints))]
     for k in ks:
         if k != ks.start:
             with localcontext(_EXACT):
                 fs = [(f0 * a + f1 * b, f0 * b + f1 * c, a, b, c) for f0, f1, a, b, c in fs]
-        (nv_int, _), (nv, ne) = (_counts(k, f0, f1, kind) for f0, f1, *_ in fs)  # ints, Decimals
-        yield nv, ne, nv_int
+        (f0, f1, *_), (d0, d1, *_) = fs  # ints, Decimals
+        yield (*_counts(k, d0, d1, kind), _vertices(f0, f1, kind))
 
 
 def ecc_rows(n_max: int, kind: WordClass):

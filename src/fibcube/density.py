@@ -75,8 +75,9 @@ class ExplicitGraph:
 
 def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal], nv_int: int | None = None) -> Decimal:
     """Average degree divided by log2 of the vertex count. It depends on the counts
-    alone: of an ExplicitGraph, or a bare (vertices, edges) pair of ints, or of exact
-    integer Decimals with the vertex count also as the int ``nv_int``."""
+    alone: of an ExplicitGraph, or a bare (vertices, edges) pair of ints or of exact
+    integer Decimals. For Decimals, ``nv_int``, the vertex count as an int, spares
+    converting it back; it is trusted to equal the count."""
     if isinstance(graph, ExplicitGraph):
         nv, ne = graph.num_vertices, graph.num_edges
     else:
@@ -84,7 +85,8 @@ def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal], nv_int: int 
     if nv <= 1:
         raise ValueError("density undefined for graphs with fewer than two vertices")
     if isinstance(ne, Decimal):
-        return _CTX.divide(_CTX.divide(_EXACT.multiply(2, ne), nv), log2_int(nv_int))
+        log2_nv = log2_int(int(nv) if nv_int is None else nv_int)
+        return _CTX.divide(_CTX.divide(_EXACT.multiply(2, ne), nv), log2_nv)
     return _CTX.divide(to_decimal(2 * ne, nv), log2_int(nv))
 
 
@@ -149,25 +151,30 @@ def cartesian_power(g: ExplicitGraph, k: int) -> ExplicitGraph:
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """An increasing family given by closed-form counts per index; for cubes, by a kind's sweep."""
+    """An increasing family given by closed-form counts per index."""
 
     name: str
     first_index: int
     counts: Callable[[int], tuple[int, int]]
-    kind: WordClass | None = None
 
 
-def _cube_family(name: str, first_index: int, kind: WordClass) -> GraphFamily:
-    return GraphFamily(name, first_index, lambda n: (vertex_count(n, kind), edge_count(n, kind)), kind)
+@dataclass(frozen=True)
+class _CubeCounts:
+    """The counts of a cube family: closed forms per dimension, and count_rows for a table."""
+
+    kind: WordClass
+
+    def __call__(self, n: int) -> tuple[int, int]:
+        return vertex_count(n, self.kind), edge_count(n, self.kind)
 
 
 def fibonacci_cube_family() -> GraphFamily:
-    return _cube_family("fibonacci-cubes", 1, WordClass.FIBONACCI)
+    return GraphFamily("fibonacci-cubes", 1, _CubeCounts(WordClass.FIBONACCI))
 
 
 def lucas_cube_family() -> GraphFamily:
     # starts at 2: the length-1 cube has a single vertex, so no density
-    return _cube_family("lucas-cubes", 2, WordClass.LUCAS)
+    return GraphFamily("lucas-cubes", 2, _CubeCounts(WordClass.LUCAS))
 
 
 def subdivided_complete_family() -> GraphFamily:
@@ -192,6 +199,10 @@ def power_family(base_vertices: int, base_edges: int, name: str = "powers") -> G
 
 @dataclass(frozen=True)
 class RhoRow:
+    """One density row. For the cube families the counts are exact integer Decimals,
+    thousands of digits long: arithmetic on them in a context of fewer digits rounds
+    (the default has 28), so compute with int(count) or an exact context."""
+
     k: int
     num_vertices: int | Decimal
     num_edges: int | Decimal
@@ -206,7 +217,10 @@ def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, .
     if step < 1:
         raise ValueError("step must be >= 1")
     ks = range(k_max - (k_max - family.first_index) // step * step, k_max + 1, step)
-    counts = ((*family.counts(k), None) for k in ks) if family.kind is None else count_rows(ks, family.kind)
+    if isinstance(family.counts, _CubeCounts):  # one exact sweep for the whole table
+        counts = count_rows(ks, family.counts.kind)
+    else:
+        counts = ((*family.counts(k), None) for k in ks)
     rows = []
     prev_nv = 0
     for k, (nv, ne, nv_int) in zip(ks, counts):

@@ -104,6 +104,7 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
         (["ecc-hist", "--kind", "lucas", "--n", "500", "--method", "gf"], 252),
         (["density", "--family", "fib", "--k", "20000"], 201),
         (["density", "--family", "lucas", "--k", "20000"], 201),
+        (["density", "--family", "fib", "--k", "20000", "--step", "1000000000000"], 2),
     ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):

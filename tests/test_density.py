@@ -182,7 +182,7 @@ def _sampled_k(family, k_max, step):
 def _assert_rows_match_the_int_counts(family, rows):
     # counts equal the int closed forms, and rho equals rho of the int pair in every digit
     for r in rows:
-        nv, ne = vertex_count(r.k, family.kind), edge_count(r.k, family.kind)
+        nv, ne = family.counts(r.k)
         assert (r.num_vertices, r.num_edges) == (nv, ne), r.k
         assert str(r.rho) == str(rho((nv, ne))), r.k
 
@@ -217,6 +217,31 @@ def test_a_cube_table_evaluates_two_fibonacci_pairs(monkeypatch):
     rows = rho_limit(fibonacci_cube_family(), 20000, 100)
     assert len(rows) == 200
     assert calls == [99, 100]  # the stride (F(99), F(100)), then the first row's (F(100), F(101))
+
+
+@pytest.mark.parametrize("make_family", [fibonacci_cube_family, lucas_cube_family])
+def test_a_one_row_table_evaluates_no_stride(monkeypatch, make_family):
+    calls = []
+    evaluate = cube.fibonacci_pair
+
+    def counted(n):
+        calls.append(n)
+        assert n <= 20000, "F(step - 1) of a step of 10**12 would have about 2e11 digits"
+        return evaluate(n)
+
+    monkeypatch.setattr(cube, "fibonacci_pair", counted)
+    rows = rho_limit(make_family(), 20000, 10**12)
+    assert [r.k for r in rows] == [20000]
+    assert calls == [20000]
+    _assert_rows_match_the_int_counts(make_family(), rows)
+
+
+@pytest.mark.parametrize("make_family", [fibonacci_cube_family, lucas_cube_family])
+def test_rho_of_a_cube_rows_counts_is_its_rho(make_family):
+    # the Decimal counts of a row go back into rho without the int vertex count
+    for r in rho_limit(make_family(), 3000, 333):
+        assert rho((r.num_vertices, r.num_edges)) == r.rho, r.k
+        assert str(rho((int(r.num_vertices), int(r.num_edges)))) == str(r.rho), r.k
 
 
 def test_rho_limit_requires_increasing_family():
