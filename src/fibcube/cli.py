@@ -340,12 +340,13 @@ def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, digits: bool = False) -> None:
+    """--format, and --digits where the subcommand prints decimals."""
     p.add_argument("--format", choices=("csv", "text"), default="text")
-    # every Decimal carries DIGITS significant digits, so more would be padding
-    p.add_argument(
-        "--digits", type=_int_in(1, DIGITS), default=12, help=f"significant digits for decimals, 1..{DIGITS}"
-    )
+    if digits:  # every Decimal carries DIGITS significant digits, so more would be padding
+        p.add_argument(
+            "--digits", type=_int_in(1, DIGITS), default=12, help=f"significant digits for decimals, 1..{DIGITS}"
+        )
 
 
 def _build_parser() -> _Parser:
@@ -364,7 +365,7 @@ def _build_parser() -> _Parser:
     # 419 MB of text (210 MB csv), written in ~2.5 s at 17 MB peak RSS
     p.add_argument("--n-max", type=_int_in(1, 20000), required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against BFS and the series")
-    _add_common(p)
+    _add_common(p, digits=True)
     p.set_defaults(handler=_cmd_ecc_table)
 
     p = sub.add_parser("ecc-hist", help="vertex counts per eccentricity")
@@ -379,7 +380,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=("fib", "lucas"), required=True)
     p.add_argument("--n", type=_int_in(1, 10000), required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against enumeration")
-    _add_common(p)
+    _add_common(p, digits=True)
     p.set_defaults(handler=_cmd_weights)
 
     p = sub.add_parser("tree-check", help="leaf depth against cube eccentricity")
@@ -400,11 +401,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--base-n", type=_int_in(1, 20), default=None, help="base cube dimension for --family power")
     p.add_argument("--step", type=_int_in(1), default=None, help="sample every STEP indices (default: k/200)")
     p.add_argument("--verify", action="store_true", help="cross-check counts where a brute route exists")
-    _add_common(p)
+    _add_common(p, digits=True)
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("limits", help="limit constants against values at default scales")
-    _add_common(p)
+    _add_common(p, digits=True)
     p.set_defaults(handler=_cmd_limits)
 
     return parser

@@ -20,7 +20,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, loc
 from fractions import Fraction
 from functools import cached_property
 
-from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, lucas, to_decimal
+from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, to_decimal
 from .words import BitWord, WordClass, enumerate_bits, is_fibonacci
 
 
@@ -215,35 +215,29 @@ def _require_kind(kind: WordClass) -> None:
         raise ValueError("closed forms exist for the Fibonacci and Lucas kinds only")
 
 
-def vertex_count(n: int, kind: WordClass) -> int:
-    """F(n+2), L(n), or 2**n vertices. The length-1 Lucas cube has one vertex."""
+def _require_dimension(n: int) -> None:
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    if kind is WordClass.FIBONACCI:
-        return fibonacci(n + 2)
-    if kind is WordClass.LUCAS:
-        return lucas(n) if n >= 1 else 1
-    return 1 << n
+
+
+def vertex_count(n: int, kind: WordClass) -> int:
+    """F(n+2), L(n), or 2**n vertices. The length-0 Lucas cube has one vertex."""
+    _require_dimension(n)
+    if kind is WordClass.UNRESTRICTED:
+        return 1 << n
+    return _vertices(*fibonacci_pair(n), kind) if n or kind is WordClass.FIBONACCI else 1
 
 
 def ecc_sum_closed(n: int, kind: WordClass) -> int:
     """Sum of all vertex eccentricities, by closed form.
 
     Fibonacci: (3F(n) + 4nF(n+1) + 3nF(n))/5, where the division is exact
-    for every valid n (checked anyway). Lucas (n >= 1):
+    for every valid n (checked anyway). Lucas:
     nF(n+1) + (-1)^n n + (-1)^(n+1) floor(n/2).
     """
     _require_kind(kind)
-    if kind is WordClass.FIBONACCI:
-        if n < 0:
-            raise ValueError("dimension must be >= 0")
-        fn, fn1 = fibonacci_pair(n)
-        return _exact_div(3 * fn + 4 * n * fn1 + 3 * n * fn, 5)
-    if n < 1:
-        raise ValueError("the Lucas closed form needs n >= 1")
-    fn, fn1 = fibonacci_pair(n)
-    sign = -1 if n % 2 else 1
-    return n * fn1 + sign * n - sign * (n // 2)
+    _require_dimension(n)
+    return _ecc_sum(n, *fibonacci_pair(n), kind)
 
 
 def average_ecc(n: int, kind: WordClass) -> Fraction:
@@ -259,19 +253,11 @@ def average_ecc_over_n(n: int, kind: WordClass):
 
 def edge_count(n: int, kind: WordClass) -> int:
     """Closed-form edge counts: (nF(n+1) + 2(n+1)F(n))/5, nF(n-1), n*2^(n-1)."""
+    _require_dimension(n)
     if kind is WordClass.UNRESTRICTED:
-        if n < 0:
-            raise ValueError("dimension must be >= 0")
-        return n << (n - 1) if n else 0
+        return n << n >> 1  # n * 2^(n-1), and 0 at n = 0
     _require_kind(kind)
-    if kind is WordClass.FIBONACCI:
-        if n < 0:
-            raise ValueError("dimension must be >= 0")
-        fn, fn1 = fibonacci_pair(n)
-        return _exact_div(n * fn1 + 2 * (n + 1) * fn, 5)
-    if n < 1:
-        raise ValueError("the Lucas closed form needs n >= 1")
-    return n * fibonacci(n - 1)
+    return _edges(n, *fibonacci_pair(n), kind)
 
 
 def average_degree(n: int, kind: WordClass) -> Fraction:
@@ -329,17 +315,23 @@ def _exact_div(a: int | Decimal, d: int) -> int | Decimal:
     return q
 
 
+# The closed forms, from n and (F(n), F(n+1)) as ints or as exact integer
+# Decimals; on Decimals they are evaluated in the _EXACT context.
 def _vertices(f0, f1, kind: WordClass):
-    """The vertex count from F(n), F(n+1): the closed form of vertex_count."""
+    """F(n+2) or L(n); vertex_count gives the length-0 Lucas cube its one vertex."""
     return f0 + f1 if kind is WordClass.FIBONACCI else 2 * f1 - f0
 
 
-def _counts(n: int, f0, f1, kind: WordClass):
-    """(vertices, edges) from F(n), F(n+1): the closed forms of vertex_count and edge_count."""
-    with localcontext(_EXACT):
-        if kind is WordClass.FIBONACCI:
-            return _vertices(f0, f1, kind), _exact_div(n * f1 + 2 * (n + 1) * f0, 5)
-        return _vertices(f0, f1, kind), n * (f1 - f0)
+def _edges(n: int, f0, f1, kind: WordClass):
+    if kind is WordClass.FIBONACCI:
+        return _exact_div(n * f1 + 2 * (n + 1) * f0, 5)
+    return n * (f1 - f0)
+
+
+def _ecc_sum(n: int, f0, f1, kind: WordClass):
+    if kind is WordClass.FIBONACCI:
+        return _exact_div(3 * f0 + 4 * n * f1 + 3 * n * f0, 5)
+    return n * f1 + (-1) ** n * (n - n // 2)
 
 
 def count_rows(ks: range, kind: WordClass):
@@ -352,18 +344,19 @@ def count_rows(ks: range, kind: WordClass):
     ints = fibonacci_pair(ks.start) + (a, b, a + b)  # F(k), F(k+1), F(s-1), F(s), F(s+1)
     fs = [ints, tuple(map(Decimal, ints))]
     for k in ks:
-        if k != ks.start:
-            with localcontext(_EXACT):
+        with localcontext(_EXACT):
+            if k != ks.start:
                 fs = [(f0 * a + f1 * b, f0 * b + f1 * c, a, b, c) for f0, f1, a, b, c in fs]
-        (f0, f1, *_), (d0, d1, *_) = fs  # ints, Decimals
-        yield (*_counts(k, d0, d1, kind), _vertices(f0, f1, kind))
+            (f0, f1, *_), (d0, d1, *_) = fs  # ints, Decimals
+            row = _vertices(d0, d1, kind), _edges(k, d0, d1, kind), _vertices(f0, f1, kind)
+        yield row
 
 
 def ecc_rows(n_max: int, kind: WordClass):
     """Rows (n, vertices, edges, ecc_sum, (p, q), avg_ecc_over_n), n = 1..n_max,
     from one sweep of (F(n), F(n+1)): exact integer Decimals by the closed
-    forms of vertex_count, edge_count and ecc_sum_closed, which stay the
-    reference; p/q is the average eccentricity in lowest terms.
+    forms that vertex_count, edge_count and ecc_sum_closed evaluate per
+    dimension; p/q is the average eccentricity in lowest terms.
 
     g = gcd(ecc_sum, vertices) divides a small m. Fibonacci: 5 ecc_sum =
     (3 - n)F(n) mod F(n+2), prime to F(n), so m = |n - 3|, or m = F(5) at
@@ -372,14 +365,12 @@ def ecc_rows(n_max: int, kind: WordClass):
     _require_kind(kind)
     f0 = f1 = Decimal(1)  # F(n), F(n+1)
     for n in range(1, n_max + 1):
-        nv, ne = _counts(n, f0, f1, kind)
         with localcontext(_EXACT):
+            nv, ne, es = _vertices(f0, f1, kind), _edges(n, f0, f1, kind), _ecc_sum(n, f0, f1, kind)
             if kind is WordClass.FIBONACCI:
                 m = abs(n - 3) or int(nv)
-                es = _exact_div(3 * f0 + 4 * n * f1 + 3 * n * f0, 5)
             else:
-                c = (-1) ** n * (n - n // 2)
-                es, m = n * f1 + c, (-1) ** n * n * n + 5 * c * c
+                m = (-1) ** n * n * n + 5 * (n - n // 2) ** 2
             g = math.gcd(m, int(es % m), int(nv % m))
             row = n, nv, ne, es, (_exact_div(es, g), _exact_div(nv, g)), _CTX.divide(es, nv * n)
             f0, f1 = f1, f0 + f1

@@ -207,6 +207,12 @@ ALL_COMMANDS = [
 def test_streamed_tables_reject_bad_digits_before_writing(capsys):
     # every Decimal carries DIGITS = 50 significant digits; more would print padding
     for argv in ALL_COMMANDS:
+        if argv[0] not in ("ecc-table", "weights", "density", "limits"):  # no decimal printed, no --digits
+            assert run([*argv, "--digits", "12", "--format", "csv"]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --digits 12" in captured.err
+            continue
         for digits in ("0", "51", "1000000"):
             assert run([*argv, "--digits", digits, "--format", "csv"]) == 1, (argv, digits)
             captured = capsys.readouterr()

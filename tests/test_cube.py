@@ -99,13 +99,12 @@ def test_ecc_sum_closed_fibonacci_sequence():
 def test_ecc_sum_closed_lucas_values():
     assert ecc_sum_closed(3, LUC) == 7
     assert [ecc_sum_closed(n, LUC) for n in range(1, 7)] == ECC_SUMS_LUCAS_1_TO_6
-    with pytest.raises(ValueError):
-        ecc_sum_closed(0, LUC)
+    assert ecc_sum_closed(0, LUC) == 0
 
 
 def test_ecc_sum_closed_matches_brute_force():
     for kind in (FIB, LUC):
-        for n in range(1, 13):
+        for n in range(0, 13):
             brute = sum(CubeGraph(kind, n).eccentricities("bfs"))
             assert ecc_sum_closed(n, kind) == brute, (kind, n)
 
@@ -126,7 +125,7 @@ def test_edge_count_examples():
 
 def test_edge_count_matches_brute_force():
     for kind in (FIB, LUC):
-        for n in range(1, 13):
+        for n in range(0, 13):
             assert edge_count(n, kind) == CubeGraph(kind, n).edge_count_brute(), (kind, n)
     for n in range(1, 9):
         assert edge_count(n, HYP) == CubeGraph(HYP, n).edge_count_brute()
@@ -233,6 +232,13 @@ def test_weight_rows_match_the_int_closed_forms(kind, n):
     for i, zero, one in rows:
         w0, w1 = weight_count(n, i, 0, kind), weight_count(n, i, 1, kind)
         assert (str(zero), str(one)) == (str(w0), str(w1))
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_edges_are_the_ones_of_the_weight_sweep(kind):
+    # clearing a 1 never leaves the word class, so each edge is one (word, position of a 1)
+    for n in range(1 if kind is FIB else 2, 401):
+        assert sum(int(one) for _, _, one in weight_rows(n, kind)) == edge_count(n, kind), n
 
 
 def test_vertex_counts():

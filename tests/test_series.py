@@ -285,5 +285,4 @@ def test_counts_and_sums_must_be_non_negative_integers(monkeypatch, pairs, bad):
 def test_ecc_sums_match_closed_forms_to_1000(kind):
     sums = ecc_sum_from_gf(1000, kind)
     assert len(sums) == 1001
-    start = 0 if kind is FIB else 1  # the Lucas closed form starts at n = 1
-    assert sums[start:] == [ecc_sum_closed(n, kind) for n in range(start, 1001)]
+    assert sums == [ecc_sum_closed(n, kind) for n in range(1001)]
