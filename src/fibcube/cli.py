@@ -20,13 +20,6 @@ from .words import WordClass, word_blocks
 
 _KINDS = {"fib": WordClass.FIBONACCI, "lucas": WordClass.LUCAS, "hyper": WordClass.UNRESTRICTED}
 
-# default evaluation scales for the limits table
-_ECC_SCALE = 1000
-_DEG_SCALE = 1000
-_WEIGHT_FIB_SCALE = 1000
-_WEIGHT_LUCAS_SCALE = 60
-_RHO_SCALE = 10000
-
 # brute-force cross-checks enumerate every vertex, so they are capped
 _VERIFY_MAX_N = 16
 # and so do explicit Cartesian powers, by their vertex count
@@ -153,14 +146,7 @@ def _cmd_ecc_hist(args) -> int:
     graph = functools.cache(lambda: cube.CubeGraph(kind, n))
 
     def by_method(method: str) -> cube.EccHistogram:
-        if method == "gf":
-            table = (
-                series.fibonacci_ecc_gf(n)
-                if kind is WordClass.FIBONACCI
-                else series.lucas_ecc_gf(n)
-            )
-            return table[n]
-        return graph().ecc_histogram(method)
+        return series._histograms(n, kind)[n] if method == "gf" else graph().ecc_histogram(method)
 
     hist = by_method(args.method)
     if args.verify:
@@ -275,7 +261,7 @@ def _cmd_density(args) -> int:
         if not small:
             raise _UsageError(f"--verify found no row at or below {limit} to check")
         for r, counts in zip(small, brute):
-            if not _agree(f"k={r.k}", "counts", closed=(r.num_vertices, r.num_edges), brute=counts):
+            if not _agree(f"k={r.k}", "counts", closed=(int(r.num_vertices), int(r.num_edges)), brute=counts):
                 return 2
     rows = []
     for r in table:
@@ -293,37 +279,22 @@ def _cmd_limits(args) -> int:
         deg_limit = (5 - s5) / 5
         phi_sq = (3 + s5) / 2
         rho_limit_const = deg_limit / (golden_ratio().ln() / _LN2)
-    fib, luc = WordClass.FIBONACCI, WordClass.LUCAS
-    rows_data = [
-        ("avg-ecc-over-n-fib", ecc_limit, cube.average_ecc_over_n(_ECC_SCALE, fib)),
-        ("avg-ecc-over-n-lucas", ecc_limit, cube.average_ecc_over_n(_ECC_SCALE, luc)),
-        ("avg-deg-over-n-fib", deg_limit, to_decimal(cube.average_degree(_DEG_SCALE, fib) / _DEG_SCALE)),
-        ("avg-deg-over-n-lucas", deg_limit, to_decimal(cube.average_degree(_DEG_SCALE, luc) / _DEG_SCALE)),
-        ("weight-ratio-fib", phi_sq, cube.weight_ratio_average_decimal(_WEIGHT_FIB_SCALE, fib)),
-        ("weight-ratio-lucas", phi_sq, cube.weight_ratio_average_decimal(_WEIGHT_LUCAS_SCALE, luc)),
-        (
-            "rho-fib",
-            rho_limit_const,
-            density.rho((cube.vertex_count(_RHO_SCALE, fib), cube.edge_count(_RHO_SCALE, fib))),
-        ),
-        (
-            "rho-lucas",
-            rho_limit_const,
-            density.rho((cube.vertex_count(_RHO_SCALE, luc), cube.edge_count(_RHO_SCALE, luc))),
-        ),
+    # each invariant once: name, limit, (fib dimension, lucas dimension), its value for a kind at a dimension
+    invariants = [
+        ("avg-ecc-over-n", ecc_limit, (1000, 1000), cube.average_ecc_over_n),
+        ("avg-deg-over-n", deg_limit, (1000, 1000),
+         lambda n, kind: to_decimal(cube.average_degree(n, kind) / n)),
+        ("weight-ratio", phi_sq, (1000, 60), cube.weight_ratio_average_decimal),
+        ("rho", rho_limit_const, (10000, 10000),
+         lambda n, kind: density.rho((cube.vertex_count(n, kind), cube.edge_count(n, kind)))),
     ]
     rows = []
-    for name, limit, value in rows_data:
-        with localcontext(_CTX):
-            err = abs(value - limit)
-        rows.append(
-            [
-                name,
-                format_significant(limit, args.digits),
-                format_significant(value, args.digits),
-                format_significant(err, args.digits),
-            ]
-        )
+    for name, limit, dims, value_at in invariants:
+        for kind, n in zip(("fib", "lucas"), dims):
+            value = value_at(n, _KINDS[kind])
+            with localcontext(_CTX):
+                err = abs(value - limit)
+            rows.append([f"{name}-{kind}", *(format_significant(v, args.digits) for v in (limit, value, err))])
     _emit(_table(["name", "limit", "value", "abs_error"], lambda: rows, args.format, left=frozenset({0})))
     return 0
 

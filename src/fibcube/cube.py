@@ -14,7 +14,7 @@ found by a DP over the class's automaton in O(n) per vertex.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -154,10 +154,7 @@ class CubeGraph:
         raise ValueError(f"unknown eccentricity method {method!r}")
 
     def ecc_histogram(self, method: str = "bfs") -> EccHistogram:
-        counts: dict[int, int] = {}
-        for e in self.eccentricities(method):
-            counts[e] = counts.get(e, 0) + 1
-        return EccHistogram(self.n, dict(sorted(counts.items())))
+        return EccHistogram(self.n, dict(sorted(Counter(self.eccentricities(method)).items())))
 
 
 def _farthest_word_distance(bits: int, n: int, kind: WordClass) -> int:

@@ -90,6 +90,8 @@ def log2_int(v: int) -> Decimal:
     """
     if v <= 0:
         raise ValueError("log2 is undefined for non-positive integers")
+    if v & (v - 1) == 0:  # a power of two: its exact exponent, not a rounded logarithm
+        return Decimal(v.bit_length() - 1)
     shift = max(0, v.bit_length() - _LOG_MANTISSA_BITS)
     with localcontext(_CTX):
         return shift + Decimal(v >> shift).ln() / _LN2

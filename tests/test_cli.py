@@ -346,6 +346,14 @@ def test_disagreeing_routes_are_reported(capsys, monkeypatch):
         "consistency failure at n=4: histogram "
         "bfs={2: 1, 3: 4, 4: 2} gf={2: 1, 3: 4, 4: 2} hamming={0: 7}\n"
     )
+    # density --verify prints a cube family's Decimal counts as ints
+    brute_edges = cube.CubeGraph.edge_count_brute
+    monkeypatch.setattr(cube.CubeGraph, "edge_count_brute", lambda g: brute_edges(g) + 1)
+    assert run(["density", "--family", "fib", "--k", "3", "--verify"]) == 2
+    assert capsys.readouterr().err == (
+        "checked 3 of 3 rows; skipped 0 above dimension 16\n"
+        "consistency failure at k=1: counts closed=(2, 1) brute=(2, 2)\n"
+    )
 
 
 def test_weights_golden(capsys):

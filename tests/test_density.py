@@ -41,8 +41,11 @@ def lucas_graph(n):
 
 
 def test_rho_hypercube_is_one():
-    assert abs(rho(ExplicitGraph.hypercube(3)) - 1) < Decimal("1e-40")
-    assert abs(rho(ExplicitGraph.hypercube(1)) - 1) < Decimal("1e-40")
+    # the equality case of the density lemma: exactly 1, not rounded near it
+    assert rho(ExplicitGraph.hypercube(3)) == 1
+    assert rho(ExplicitGraph.hypercube(1)) == 1
+    for k in range(1, 1001):
+        assert rho((2**k, k * 2 ** (k - 1))) == 1
 
 
 def test_rho_from_closed_counts():
