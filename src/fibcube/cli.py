@@ -24,11 +24,9 @@ _KINDS = {"fib": WordClass.FIBONACCI, "lucas": WordClass.LUCAS, "hyper": WordCla
 _VERIFY_MAX_N = 16
 # and so do explicit Cartesian powers, by their vertex count
 _VERIFY_MAX_VERTICES = 5000
-# ecc-hist caps on --n, by the option that picks the routes run; at its cap
-# fast takes ~5 s and 117 MB, gf ~0.2 s and 24 MB for --kind lucas
-_ECC_HIST_CAPS = {
-    "--method bfs": _VERIFY_MAX_N, "--method fast": 30, "--method gf": 500, "--verify": _VERIFY_MAX_N
-}
+# ecc-hist routes, in the order --verify compares them, and each one's cap on --n;
+# at its cap fast takes ~5 s and 117 MB, gf ~0.2 s and 24 MB for --kind lucas
+_ECC_HIST_CAPS = {"bfs": _VERIFY_MAX_N, "gf": 500, "hamming": _VERIFY_MAX_N, "fast": 30}
 # density rows at most; the fib/lucas --k cap, so --step 1 stays valid there
 _DENSITY_MAX_ROWS = 20000
 
@@ -117,12 +115,12 @@ def _cmd_ecc_table(args) -> int:
         raise _UsageError(f"--verify enumerates every vertex; use --n-max <= {_VERIFY_MAX_N}")
     if args.verify:
         gf_sums = series.ecc_sum_from_gf(args.n_max, kind)
-        for n, _, ne, es, _, _ in cube.ecc_rows(args.n_max, kind):
+        for n, nv, ne, es, _, _ in cube.ecc_rows(args.n_max, kind):
             g = cube.CubeGraph(kind, n)
             brute_sum = sum(g.eccentricities("bfs"))
             if not (
                 _agree(f"n={n}", "eccentricity sums", bfs=brute_sum, sweep=int(es), gf=gf_sums[n])
-                and _agree(f"n={n}", "edges", brute=g.edge_count_brute(), sweep=int(ne))
+                and _agree(f"n={n}", "counts", brute=(g.num_vertices, g.edge_count_brute()), sweep=(int(nv), int(ne)))
             ):
                 return 2
 
@@ -138,24 +136,18 @@ def _cmd_ecc_table(args) -> int:
 def _cmd_ecc_hist(args) -> int:
     kind = _KINDS[args.kind]
     n = args.n
-    if args.method == "fast" and kind is not WordClass.FIBONACCI:
+    routes = [r for r in _ECC_HIST_CAPS if r != "fast" or kind is WordClass.FIBONACCI]
+    if args.method not in routes:
         raise _UsageError("--method fast applies to --kind fib only")
-    route = "--verify" if args.verify else f"--method {args.method}"
-    if n > _ECC_HIST_CAPS[route]:
-        raise _UsageError(f"--n must be <= {_ECC_HIST_CAPS[route]} with {route}")
+    routes, option = (routes, "--verify") if args.verify else ([args.method], f"--method {args.method}")
+    cap = min(_ECC_HIST_CAPS[r] for r in routes)
+    if n > cap:
+        raise _UsageError(f"--n must be <= {cap} with {option}")
     graph = functools.cache(lambda: cube.CubeGraph(kind, n))
-
-    def by_method(method: str) -> cube.EccHistogram:
-        return series._histograms(n, kind)[n] if method == "gf" else graph().ecc_histogram(method)
-
-    hist = by_method(args.method)
-    if args.verify:
-        methods = ["bfs", "gf", "hamming"] + (["fast"] if kind is WordClass.FIBONACCI else [])
-        results = {m: (hist if m == args.method else by_method(m)).counts for m in methods}
-        if not _agree(f"n={n}", "histogram", **results):
-            return 2
-    rows = [[str(k), str(c)] for k, c in sorted(hist.counts.items())]
-    _emit(_table(["k", "count"], lambda: rows, args.format))
+    hists = {r: (series._histograms(n, kind)[n] if r == "gf" else graph().ecc_histogram(r)).counts for r in routes}
+    if not _agree(f"n={n}", "histogram", **hists):
+        return 2
+    _emit(_table(["k", "count"], lambda: ([str(k), str(c)] for k, c in hists[args.method].items()), args.format))
     return 0
 
 
@@ -247,27 +239,25 @@ def _cmd_density(args) -> int:
             limit = f"dimension {_VERIFY_MAX_N}"
             small = [r for r in table if r.k <= _VERIFY_MAX_N]
             graphs = (cube.CubeGraph(_KINDS[args.family], r.k) for r in small)
-            brute = [(g.num_vertices, g.edge_count_brute()) for g in graphs]
+            brute = ((g.num_vertices, g.edge_count_brute()) for g in graphs)
         elif args.family == "power":
             limit = f"{_VERIFY_MAX_VERTICES} vertices"
             small = [r for r in table if r.num_vertices <= _VERIFY_MAX_VERTICES]
-            base = density.ExplicitGraph.from_cube(cube.CubeGraph(WordClass.FIBONACCI, args.base_n))
-            graphs = (density.cartesian_power(base, r.k) for r in small)
-            brute = [(g.num_vertices, g.num_edges) for g in graphs]
+            base = functools.cache(
+                lambda: density.ExplicitGraph.from_cube(cube.CubeGraph(WordClass.FIBONACCI, args.base_n))
+            )
+            graphs = (density.cartesian_power(base(), r.k) for r in small)
+            brute = ((g.num_vertices, g.num_edges) for g in graphs)
         else:
             raise _UsageError(f"--verify has no independent route for family {args.family}")
-        n_rows, n_small = len(table), len(small)
-        print(f"checked {n_small} of {n_rows} rows; skipped {n_rows - n_small} above {limit}", file=sys.stderr)
+        print(f"checked {len(small)} of {len(table)} rows; skipped {len(table) - len(small)} above {limit}",
+              file=sys.stderr)
         if not small:
             raise _UsageError(f"--verify found no row at or below {limit} to check")
         for r, counts in zip(small, brute):
             if not _agree(f"k={r.k}", "counts", closed=(int(r.num_vertices), int(r.num_edges)), brute=counts):
                 return 2
-    rows = []
-    for r in table:
-        # a cube family's counts are exact integer Decimals: cells that _table renders as it writes
-        counts = [(c,) if isinstance(c, Decimal) else str(c) for c in (r.num_vertices, r.num_edges)]
-        rows.append([str(r.k), *counts, format_significant(r.rho, args.digits)])
+    rows = [[str(r.k), (r.num_vertices,), (r.num_edges,), format_significant(r.rho, args.digits)] for r in table]
     _emit(_table(["k", "vertices", "edges", "rho"], lambda: rows, args.format))
     return 0
 

@@ -199,13 +199,13 @@ def power_family(base_vertices: int, base_edges: int, name: str = "powers") -> G
 
 @dataclass(frozen=True)
 class RhoRow:
-    """One density row. For the cube families the counts are exact integer Decimals,
-    thousands of digits long: arithmetic on them in a context of fewer digits rounds
+    """One density row. Its counts are exact integer Decimals, up to thousands of
+    digits long: arithmetic on them in a context of fewer digits rounds
     (the default has 28), so compute with int(count) or an exact context."""
 
     k: int
-    num_vertices: int | Decimal
-    num_edges: int | Decimal
+    num_vertices: Decimal
+    num_edges: Decimal
     rho: Decimal
 
 
@@ -227,6 +227,6 @@ def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, .
         if nv <= prev_nv:
             raise ArithmeticError(f"family {family.name} is not increasing at k={k}")
         prev_nv = nv
-        rows.append(RhoRow(k, nv, ne, rho((nv, ne), nv_int)))
+        rows.append(RhoRow(k, Decimal(nv), Decimal(ne), rho((nv, ne), nv_int)))
     return tuple(rows)
 

@@ -281,6 +281,33 @@ def test_ecc_table_lucas_verify(capsys):
     assert sums == ["0", "5", "7", "22", "37", "81", "143", "276"]
 
 
+def test_ecc_table_verify_checks_vertex_counts(capsys, monkeypatch):
+    monkeypatch.setattr(cube.CubeGraph, "num_vertices", property(lambda g: len(g._bits) + 1))
+    assert run(["ecc-table", "--kind", "fib", "--n-max", "3", "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "consistency failure at n=1: counts brute=(3, 1) sweep=(2, 1)\n"
+
+
+@pytest.mark.parametrize("kind, verified", [("fib", ["bfs", "gf", "hamming", "fast"]), ("lucas", ["bfs", "gf", "hamming"])])
+def test_ecc_hist_computes_each_route_once(capsys, monkeypatch, kind, verified):
+    log = []
+    graph, histograms, histogram = cube.CubeGraph, series._histograms, cube.CubeGraph.ecc_histogram
+    monkeypatch.setattr(cube, "CubeGraph", lambda k, n: log.append("graph") or graph(k, n))
+    monkeypatch.setattr(series, "_histograms", lambda n, k: log.append("gf") or histograms(n, k))
+    monkeypatch.setattr(graph, "ecc_histogram", lambda g, method: log.append(method) or histogram(g, method))
+    for options, expected in [
+        (["--method", "bfs", "--verify"], ["graph", *verified]),
+        (["--method", "gf", "--verify"], ["graph", *verified]),
+        (["--method", "bfs"], ["graph", "bfs"]),
+        (["--method", "gf"], ["gf"]),
+    ]:
+        log.clear()
+        assert run(["ecc-hist", "--kind", kind, "--n", "6", *options]) == 0
+        assert log == expected, options
+    capsys.readouterr()
+
+
 def test_ecc_hist_methods_agree(capsys):
     expected = "k,count\n2,3\n3,2\n"
     for method in ("bfs", "gf", "fast"):
@@ -302,7 +329,7 @@ def test_ecc_hist_verify_paths(capsys):
 def test_ecc_hist_gf_cap(capsys):
     from fibcube.cli import _ECC_HIST_CAPS, _KINDS
 
-    cap = _ECC_HIST_CAPS["--method gf"]
+    cap = _ECC_HIST_CAPS["gf"]
     for kind in ("fib", "lucas"):
         code, out = capture(capsys, ["ecc-hist", "--kind", kind, "--n", str(cap), "--method", "gf", "--format", "csv"])
         assert code == 0
@@ -462,6 +489,21 @@ def test_density_verify_with_no_checkable_row_is_a_usage_error(capsys):
         assert "error: --verify found no row" in captured.err
 
 
+def test_density_verify_refuses_before_building_a_graph(capsys, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("graph built")
+
+    # the base cube of dimension 20 has 17711 vertices: no row is small enough to check
+    monkeypatch.setattr(cube, "CubeGraph", no_graph)
+    assert run(["density", "--family", "power", "--base-n", "20", "--k", "1", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "checked 0 of 1 rows; skipped 1 above 5000 vertices\n"
+        "error: --verify found no row at or below 5000 vertices to check\n"
+    )
+
+
 def test_density_cycles_and_verify_rejection(capsys):
     code, out = capture(capsys, ["density", "--family", "cycles", "--k", "4", "--step", "1", "--format", "csv"])
     assert code == 0
@@ -539,7 +581,7 @@ def test_out_of_range_arguments_exit_one_before_any_work(capsys, monkeypatch, ar
 
     for owner, name in [(cube, "CubeGraph"), (cube, "ecc_rows"), (cube, "weight_rows"), (density, "rho_limit"),
                         (cli, "word_blocks"), (fibtree, "build"), (fibtree, "verify_depth_eccentricity"),
-                        (series, "fibonacci_ecc_gf"), (series, "lucas_ecc_gf")]:
+                        (series, "fibonacci_ecc_gf"), (series, "lucas_ecc_gf"), (series, "_histograms")]:
         monkeypatch.setattr(owner, name, no_work)
     assert run(argv) == 1
     captured = capsys.readouterr()

@@ -247,6 +247,18 @@ def test_rho_of_a_cube_rows_counts_is_its_rho(make_family):
         assert str(rho((int(r.num_vertices), int(r.num_edges)))) == str(r.rho), r.k
 
 
+@pytest.mark.parametrize(
+    "family, k_max",
+    [(fibonacci_cube_family(), 300), (lucas_cube_family(), 300), (power_family(5, 5), 40),
+     (subdivided_complete_family(), 300), (even_cycle_family(), 300)],
+)
+def test_every_family_rows_hold_exact_integer_decimal_counts(family, k_max):
+    for r in rho_limit(family, k_max, step=7):
+        assert type(r.num_vertices) is Decimal and type(r.num_edges) is Decimal, r.k
+        assert (r.num_vertices, r.num_edges) == family.counts(r.k), r.k
+        assert r.num_vertices.as_tuple().exponent == r.num_edges.as_tuple().exponent == 0, r.k
+
+
 def test_rho_limit_requires_increasing_family():
     constant = GraphFamily("constant", 1, lambda k: (4, 2))
     with pytest.raises(ArithmeticError):
