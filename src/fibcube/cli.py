@@ -230,31 +230,31 @@ def _cmd_density(args) -> int:
     family = make_family(args.base_n)
     if args.k < family.first_index:
         raise _UsageError(f"--k must be >= {family.first_index} for family {args.family}")
-    step = args.step if args.step is not None else max(1, args.k // 200)
-    if (args.k - family.first_index) // step >= _DENSITY_MAX_ROWS:
+    ks = density.sampled_indices(family, args.k, args.step if args.step is not None else max(1, args.k // 200))
+    if len(ks) > _DENSITY_MAX_ROWS:
         raise _UsageError(f"--k and --step sample more than {_DENSITY_MAX_ROWS} rows; raise --step")
-    table = density.rho_limit(family, args.k, step)
     if args.verify:
         if args.family in ("fib", "lucas"):
-            limit = f"dimension {_VERIFY_MAX_N}"
-            small = [r for r in table if r.k <= _VERIFY_MAX_N]
-            graphs = (cube.CubeGraph(_KINDS[args.family], r.k) for r in small)
+            limit, checkable = f"dimension {_VERIFY_MAX_N}", lambda k: k <= _VERIFY_MAX_N
+            graphs = (cube.CubeGraph(_KINDS[args.family], k) for k in ks)
             brute = ((g.num_vertices, g.edge_count_brute()) for g in graphs)
         elif args.family == "power":
-            limit = f"{_VERIFY_MAX_VERTICES} vertices"
-            small = [r for r in table if r.num_vertices <= _VERIFY_MAX_VERTICES]
+            limit, checkable = f"{_VERIFY_MAX_VERTICES} vertices", lambda k: family.counts(k)[0] <= _VERIFY_MAX_VERTICES
             base = functools.cache(
                 lambda: density.ExplicitGraph.from_cube(cube.CubeGraph(WordClass.FIBONACCI, args.base_n))
             )
-            graphs = (density.cartesian_power(base(), r.k) for r in small)
+            graphs = (density.cartesian_power(base(), k) for k in ks)
             brute = ((g.num_vertices, g.num_edges) for g in graphs)
         else:
             raise _UsageError(f"--verify has no independent route for family {args.family}")
-        print(f"checked {len(small)} of {len(table)} rows; skipped {len(table) - len(small)} above {limit}",
-              file=sys.stderr)
-        if not small:
+        # the families increase, so the checkable rows lead the table: count them before building it
+        checked = sum(1 for _ in itertools.takewhile(checkable, ks))
+        print(f"checked {checked} of {len(ks)} rows; skipped {len(ks) - checked} above {limit}", file=sys.stderr)
+        if not checked:
             raise _UsageError(f"--verify found no row at or below {limit} to check")
-        for r, counts in zip(small, brute):
+    table = density.rho_limit(family, args.k, ks.step)
+    if args.verify:
+        for r, counts in zip(table[:checked], brute):
             if not _agree(f"k={r.k}", "counts", closed=(int(r.num_vertices), int(r.num_edges)), brute=counts):
                 return 2
     rows = [[str(r.k), (r.num_vertices,), (r.num_edges,), format_significant(r.rho, args.digits)] for r in table]

@@ -3,12 +3,14 @@
 Vertices are the words of the chosen class; two vertices are adjacent
 when they differ in precisely one position. Adjacency is derived on the
 fly (flip one bit, test membership), which keeps memory linear in the
-vertex count. BFS is the implementation of record for distances; the
-Hamming route and the one-pass suffix recursion are separate routes
-that the test suite plays against it. Both families are isometric
-subgraphs of the hypercube, so the Hamming route takes a vertex's
-eccentricity as the largest Hamming distance to a word of the class,
-found by a DP over the class's automaton in O(n) per vertex.
+vertex count. BFS is the implementation of record for distances: from
+one vertex, or from all sources at once in one bit-parallel sweep that
+gives every eccentricity. The Hamming route and the one-pass suffix
+recursion are separate routes that the test suite plays against it.
+Both families are isometric subgraphs of the hypercube, so the Hamming
+route takes a vertex's eccentricity as the largest Hamming distance to
+a word of the class, found by a DP over the class's automaton in O(n)
+per vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_, xor
 
 from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, to_decimal
 from .words import BitWord, WordClass, enumerate_bits, is_fibonacci
@@ -139,12 +142,13 @@ class CubeGraph:
     def eccentricities(self, method: str = "bfs") -> list[int]:
         """Eccentricity of every vertex, aligned with ``words()``.
 
-        method: "bfs" (implementation of record), "hamming" (largest
-        Hamming distance to a word of the class, by a DP over the class's
-        automaton), or "fast" (suffix recursion, Fibonacci cubes only).
+        method: "bfs" (implementation of record: a BFS from all sources at
+        once, in one bit-parallel sweep), "hamming" (largest Hamming distance
+        to a word of the class, by a DP over the class's automaton), or
+        "fast" (suffix recursion, Fibonacci cubes only).
         """
         if method == "bfs":
-            return [max(self._connected_levels(i)) for i in range(len(self._bits))]
+            return self._all_sources_bfs()
         if method == "hamming":
             return [_farthest_word_distance(b, self.n, self.word_class) for b in self._bits]
         if method == "fast":
@@ -152,6 +156,27 @@ class CubeGraph:
                 raise ValueError("the suffix recursion applies to Fibonacci cubes only")
             return [_stripped_ecc(self.n, b) for b in self._bits]
         raise ValueError(f"unknown eccentricity method {method!r}")
+
+    def _all_sources_bfs(self) -> list[int]:
+        """Every eccentricity by one level-synchronous multi-source BFS (Then et
+        al., "The More the Merrier", PVLDB 2014): reach[v] is the bitset of the
+        sources within distance d of v, and a source that no vertex first
+        reaches at distance d + 1 has eccentricity d."""
+        self._connected_levels(0)  # one BFS reaches every vertex of a connected graph
+        adj = self._adjacency()
+        reach = [1 << v for v in range(len(adj))]
+        ecc = [0] * len(adj)
+        active = (1 << len(adj)) - 1  # sources whose farthest vertex is not yet found
+        d = 0
+        while active:
+            nxt = [reduce(or_, map(reach.__getitem__, nbrs), r) for r, nbrs in zip(reach, adj)]
+            gained = reduce(or_, map(xor, nxt, reach), 0)  # nxt[v] holds reach[v], so xor is "and not"
+            done = active & ~gained
+            for s, bit in enumerate(bin(done)[:1:-1]):  # the bits of done, lowest first
+                if bit == "1":
+                    ecc[s] = d
+            active, reach, d = gained, nxt, d + 1
+        return ecc
 
     def ecc_histogram(self, method: str = "bfs") -> EccHistogram:
         return EccHistogram(self.n, dict(sorted(Counter(self.eccentricities(method)).items())))

@@ -209,14 +209,19 @@ class RhoRow:
     rho: Decimal
 
 
-def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, ...]:
-    """Densities along the family up to k_max (always including k_max),
-    sampling every ``step`` indices counted down from k_max."""
+def sampled_indices(family: GraphFamily, k_max: int, step: int = 1) -> range:
+    """The indices rho_limit samples: every ``step``-th counted down from k_max,
+    down to the family's first index."""
     if k_max < family.first_index:
         raise ValueError(f"k_max below the family's first index {family.first_index}")
     if step < 1:
         raise ValueError("step must be >= 1")
-    ks = range(k_max - (k_max - family.first_index) // step * step, k_max + 1, step)
+    return range(k_max - (k_max - family.first_index) // step * step, k_max + 1, step)
+
+
+def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, ...]:
+    """Densities along the family at sampled_indices(family, k_max, step)."""
+    ks = sampled_indices(family, k_max, step)
     if isinstance(family.counts, _CubeCounts):  # one exact sweep for the whole table
         counts = count_rows(ks, family.counts.kind)
     else:

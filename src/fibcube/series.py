@@ -29,7 +29,9 @@ class BiSeries:
 def expand_rational(num: Poly, den: Poly, max_x: int, max_y: int) -> BiSeries:
     """num/den to x^max_x y^max_y, exactly (ints where exact), by long division over
     den's nonzero terms c x^p y^r other than its constant c0:
-    q[i][j] = (num[i][j] - sum of c * q[i-p][j-r]) / c0."""
+    q[i][j] = (num[i][j] - sum of c * q[i-p][j-r]) / c0.
+    When no nonzero term of num or den has r > p, neither has the quotient, so
+    row i is computed only up to j = i and left zero beyond."""
     if any(i < 0 or j < 0 for i, j in [*num, *den]):
         raise ValueError("exponents must be >= 0")
     c0 = den.get((0, 0), 0)
@@ -40,9 +42,10 @@ def expand_rational(num: Poly, den: Poly, max_x: int, max_y: int) -> BiSeries:
     for (i, j), c in num.items():
         if i <= max_x and j <= max_y:
             q[i][j] = c
+    triangular = all(r <= p for (p, r), c in [*num.items(), *den.items()] if c)
     for i, row in enumerate(q):
         earlier = [(q[i - p], r, c) for p, r, c in terms if p <= i]
-        for j in range(max_y + 1):
+        for j in range(min(i, max_y) + 1 if triangular else max_y + 1):
             s = row[j]
             for qp, r, c in earlier:
                 if r <= j:

@@ -80,20 +80,24 @@ print(child.returncode, lines, usage.ru_maxrss)
 """
 
 
+def _exit_lines_and_peak_kb(argv):
+    """A CLI child's exit code, stdout line count and peak RSS in KB (ru_maxrss on Linux)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _COUNTING_PARENT, sys.executable, "-m", "fibcube.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(int, proc.stdout.split()))
+
+
 @pytest.mark.parametrize(
     "kind, n, count", [("fib", 30, fibonacci(32)), ("lucas", 30, lucas(30)), ("hyper", 20, 2**20)]
 )
 def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    argv = [sys.executable, "-m", "fibcube.cli", "enumerate", "--kind", kind, "--n", str(n)]
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _COUNTING_PARENT, *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, lines, maxrss_kb = map(int, proc.stdout.split())
+    code, lines, maxrss_kb = _exit_lines_and_peak_kb(["enumerate", "--kind", kind, "--n", str(n)])
     assert (code, lines) == (0, count)
-    assert maxrss_kb < 64 * 1024  # ru_maxrss is in KB on Linux
+    assert maxrss_kb < 64 * 1024
 
 
 @pytest.mark.parametrize(
@@ -108,15 +112,17 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
     ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _COUNTING_PARENT, sys.executable, "-m", "fibcube.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, lines, maxrss_kb = map(int, proc.stdout.split())
+    code, lines, maxrss_kb = _exit_lines_and_peak_kb(argv)
     assert (code, lines) == (0, count)
-    assert maxrss_kb < 64 * 1024  # ru_maxrss is in KB on Linux
+    assert maxrss_kb < 64 * 1024
+
+
+@pytest.mark.parametrize("kind", ["fib", "lucas"])
+def test_every_ecc_hist_route_at_the_bfs_cap_runs_in_bounded_memory(kind):
+    # eccentricities 8..16: a header and nine rows
+    code, lines, maxrss_kb = _exit_lines_and_peak_kb(["ecc-hist", "--kind", kind, "--n", "16", "--verify"])
+    assert (code, lines) == (0, 10)
+    assert maxrss_kb < 64 * 1024
 
 
 def _old_table(header, rows, fmt):
@@ -502,6 +508,23 @@ def test_density_verify_refuses_before_building_a_graph(capsys, monkeypatch):
         "checked 0 of 1 rows; skipped 1 above 5000 vertices\n"
         "error: --verify found no row at or below 5000 vertices to check\n"
     )
+
+
+def test_density_verify_refuses_before_building_the_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(density, "rho_limit", no_table)
+    for argv, err in (
+        (["density", "--family", "power", "--base-n", "20", "--k", "1000", "--step", "1", "--verify"],
+         "checked 0 of 1000 rows; skipped 1000 above 5000 vertices\n"
+         "error: --verify found no row at or below 5000 vertices to check\n"),
+        (["density", "--family", "lucas", "--k", "20000", "--step", "1000", "--verify"],
+         "checked 0 of 20 rows; skipped 20 above dimension 16\n"
+         "error: --verify found no row at or below dimension 16 to check\n"),
+    ):
+        assert run(argv) == 1, argv
+        assert capsys.readouterr() == ("", err)
 
 
 def test_density_cycles_and_verify_rejection(capsys):

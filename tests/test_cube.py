@@ -353,6 +353,20 @@ def test_hamming_route_matches_all_pairs_scan(kind, n):
     assert [g.eccentricity_hamming(w) for w in g.words()] == scan
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.sampled_from([FIB, LUC]), st.integers(0, 12)) | st.tuples(st.just(HYP), st.integers(0, 8)))
+def test_all_sources_sweep_matches_a_bfs_per_vertex(kind_n):
+    g = CubeGraph(*kind_n)
+    assert g.eccentricities("bfs") == [max(g.bfs_levels(i)) for i in range(g.num_vertices)]
+
+
+def test_all_sources_sweep_rejects_a_disconnected_graph(monkeypatch):
+    g = CubeGraph(FIB, 2)  # 00, 01, 10: the path 01 - 00 - 10
+    monkeypatch.setattr(g, "_adjacency", lambda: [[1], [0], []])  # 10 cut off
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        g.eccentricities("bfs")
+
+
 def test_hamming_route_degenerate_and_hypercube_cases():
     for n in (0, 1):  # the single-vertex Lucas cubes
         g = CubeGraph(LUC, n)

@@ -243,6 +243,23 @@ def test_histograms_to_60_match_closed_forms(kind):
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
+def test_triangular_expansion_matches_the_full_grid_at_60(kind):
+    # no term of N or D has more y's than x's, so rows stop at j = i; times
+    # (1 + y) over (1 + y), the same ratio has a y-only term and is expanded in full
+    order = 60
+    num, den = _ecc_ratio(order, kind)
+    one_plus_y = {(0, 0): 1, (0, 1): 1}
+    full = expand_rational(_mul(num, one_plus_y), _mul(den, one_plus_y), order, order)
+    assert expand_rational(num, den, order, order) == full
+    assert all(c == 0 for i, row in enumerate(full.coeff) for c in row[i + 1:])
+
+
+def test_a_term_with_more_ys_than_xs_expands_every_column():
+    assert expand_rational({(0, 0): 1}, {(0, 0): 1, (0, 1): -1}, 2, 3).coeff == ((1, 1, 1, 1), (0,) * 4, (0,) * 4)
+    assert expand_rational({(0, 2): 1}, {(0, 0): 1, (1, 1): -1}, 2, 3).coeff == ((0, 0, 1, 0), (0, 0, 0, 1), (0,) * 4)
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
 @pytest.mark.parametrize("max_n", [0, 1, 2, 3, 17, 40])
 def test_univariate_sums_match_bivariate_derivative(kind, max_n):
     # a histogram's ecc_sum is the bivariate series' y-derivative at y = 1
