@@ -196,8 +196,7 @@ def _cmd_tree_check(args) -> int:
 def _cmd_tree_print(args) -> int:
     tree = fibtree.build(args.n, fibtree.LabelingKind(args.labeling))
     if args.format == "csv":
-        rows = [[str(d), str(label)] for label, d in tree.leaves()]
-        _emit(_table(["depth", "label"], lambda: rows, "csv"))
+        _emit(_table(["depth", "label"], lambda: ([str(d), str(label)] for label, d in tree.leaves()), "csv"))
     else:
         _emit([tree.render()])
     return 0

@@ -6,7 +6,7 @@ decorate the F(n+1) leaves with the words of length n-1 that have no
 adjacent 1s, one word per leaf. The depth labeling ("theta") makes the
 depth of each leaf equal the eccentricity of its word in the Fibonacci
 cube of dimension n-1; the plain labeling ("standard") does not, which
-the checker demonstrates.
+the checker demonstrates. Labels are ints inside, ``BitWord``s at the API.
 """
 
 from __future__ import annotations
@@ -28,21 +28,17 @@ def _label_rows(n: int, labeling: LabelingKind) -> list[tuple[int, int]]:
     encoding of a word of length n - 1, b1 the most significant bit.
 
     Base labels: index 1 carries the empty word; index 2 has left leaf
-    1 and right leaf 0. Growing from index k-1 and k-2 to index k,
-    right leaves gain 01 (standard) or 00 (theta); left leaves gain
-    0 (standard) or, for theta, the complement of their last bit.
+    1 and right leaf 0. Growing from index k-1 and k-2 to index k, left
+    leaves gain 0, or the complement of their last bit for theta; right
+    leaves gain 00, or 01 for standard.
     """
     if n < 1:
         raise ValueError("tree index must be >= 1")
     prev2, prev1 = [(0, 0)], [(1, 1), (0, 1)]
     theta = labeling is LabelingKind.THETA
     for _ in range(3, n + 1):
-        if theta:
-            left = [(b << 1 | (not b & 1), d + 1) for b, d in prev1]
-            right = [(b << 2, d + 1) for b, d in prev2]
-        else:
-            left = [(b << 1, d + 1) for b, d in prev1]
-            right = [(b << 2 | 1, d + 1) for b, d in prev2]
+        left = [(b << 1 | (theta and not b & 1), d + 1) for b, d in prev1]
+        right = [(b << 2 | (not theta), d + 1) for b, d in prev2]
         prev2, prev1 = prev1, left + right
     return prev2 if n == 1 else prev1
 
@@ -50,12 +46,12 @@ def _label_rows(n: int, labeling: LabelingKind) -> list[tuple[int, int]]:
 class LeafTree:
     """A labeled Fibonacci tree. Immutable once built."""
 
-    def __init__(self, n: int, labeling: LabelingKind, rows: list[tuple[BitWord, int]]):
+    def __init__(self, n: int, labeling: LabelingKind):
         self.n = n
         self.labeling = labeling
-        self._rows = tuple(rows)
-        self._depth_by_label = {label: depth for label, depth in rows}
-        if len(self._depth_by_label) != len(rows):
+        self._rows = tuple(_label_rows(n, labeling))
+        self._depth_by_label = dict(self._rows)
+        if len(self._depth_by_label) != len(self._rows):
             raise AssertionError("leaf labels are not distinct")
 
     @property
@@ -64,29 +60,25 @@ class LeafTree:
 
     def leaves(self) -> tuple[tuple[BitWord, int], ...]:
         """(label, depth) pairs in left-to-right order."""
-        return self._rows
+        return tuple((BitWord(self.n - 1, b), d) for b, d in self._rows)
 
     def leaves_breadth_first(self) -> list[tuple[BitWord, int]]:
         """Shallowest leaves first, left to right within a level."""
-        return sorted(self._rows, key=lambda row: row[1])
+        return sorted(self.leaves(), key=lambda row: row[1])
 
     def depth_of(self, label: BitWord) -> int:
-        try:
-            return self._depth_by_label[label]
-        except KeyError:
-            raise ValueError(f"label {label!s} does not occur in this tree") from None
+        # "0", "00" and "000" all encode 0, so the length must match first
+        if label.n == self.n - 1 and label.bits in self._depth_by_label:
+            return self._depth_by_label[label.bits]
+        raise ValueError(f"label {label!s} does not occur in this tree")
 
     def render(self) -> str:
         """One leaf per line, indented by depth: 'depth label'."""
-        lines = []
-        for label, depth in self._rows:
-            lines.append(f"{'  ' * depth}{depth} {str(label) or 'ε'}")
-        return "\n".join(lines)
+        return "\n".join(f"{'  ' * d}{d} {format(b, f'0{self.n - 1}b') if self.n > 1 else 'ε'}" for b, d in self._rows)
 
 
 def build(n: int, labeling: LabelingKind = LabelingKind.THETA) -> LeafTree:
-    rows = [(BitWord(n - 1, b), d) for b, d in _label_rows(n, labeling)]
-    return LeafTree(n, labeling, rows)
+    return LeafTree(n, labeling)
 
 
 def depth_sum(n: int, labeling: LabelingKind = LabelingKind.THETA) -> int:
@@ -120,12 +112,9 @@ def verify_depth_eccentricity(n: int, labeling: LabelingKind = LabelingKind.THET
     tree = build(n + 1, labeling)
     graph = CubeGraph(WordClass.FIBONACCI, n)
     ecc = dict(zip(graph.vertex_bits, graph.eccentricities("hamming")))
-    if tree.leaf_count != len(ecc):
-        raise AssertionError("leaf count differs from vertex count")
-    for label, depth in tree.leaves_breadth_first():
-        e = ecc.get(label.bits)
-        if e is None:
-            raise AssertionError(f"leaf label {label!s} is not a vertex")
-        if e != depth:
-            return DepthEccCheck(n, labeling, False, tree.leaf_count, (label, depth, e))
+    if tree._depth_by_label.keys() != ecc.keys():
+        raise AssertionError("leaf labels are not the cube's vertices")
+    for b, depth in sorted(tree._rows, key=lambda row: row[1]):
+        if ecc[b] != depth:
+            return DepthEccCheck(n, labeling, False, tree.leaf_count, (BitWord(n, b), depth, ecc[b]))
     return DepthEccCheck(n, labeling, True, tree.leaf_count, None)

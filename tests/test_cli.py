@@ -125,6 +125,20 @@ def test_every_ecc_hist_route_at_the_bfs_cap_runs_in_bounded_memory(kind):
     assert maxrss_kb < 64 * 1024
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["tree-print", "--n", "20"], fibonacci(21)),
+        (["tree-print", "--n", "20", "--format", "csv"], fibonacci(21) + 1),
+        (["tree-check", "--n", "16"], 1),
+    ],
+)
+def test_tree_commands_at_their_caps_run_in_bounded_memory(argv, count):
+    code, lines, maxrss_kb = _exit_lines_and_peak_kb(argv)
+    assert (code, lines) == (0, count)
+    assert maxrss_kb < 64 * 1024
+
+
 def _old_table(header, rows, fmt):
     """Tables as rendered before streaming: every row held, widths over all rows."""
     if fmt == "csv":

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibcube import cube
 from fibcube.cube import (
     CubeGraph,
     average_degree,
@@ -100,6 +101,12 @@ def test_ecc_sum_closed_lucas_values():
     assert ecc_sum_closed(3, LUC) == 7
     assert [ecc_sum_closed(n, LUC) for n in range(1, 7)] == ECC_SUMS_LUCAS_1_TO_6
     assert ecc_sum_closed(0, LUC) == 0
+
+
+def test_exact_division_refuses_a_remainder():
+    assert cube._exact_div(10, 5) == 2
+    with pytest.raises(ArithmeticError, match="7 is not divisible by 5"):
+        cube._exact_div(7, 5)
 
 
 def test_ecc_sum_closed_matches_brute_force():

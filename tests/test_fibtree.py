@@ -1,5 +1,6 @@
 import pytest
 
+from fibcube import fibtree
 from fibcube.cube import CubeGraph, ecc_sum_closed
 from fibcube.fibtree import LabelingKind, build, depth_sum, verify_depth_eccentricity
 from fibcube.numeric import fibonacci
@@ -45,8 +46,10 @@ def test_depth_of_examples():
     assert build(3, THETA).depth_of(W("00")) == 1
     assert build(4, THETA).depth_of(W("101")) == 3
     assert build(1, THETA).depth_of(W("")) == 0
-    with pytest.raises(ValueError):
-        build(3, THETA).depth_of(W("11"))
+    # "0", "00" and "000" all encode 0; only the word of length 2 is a label
+    for label in (W("11"), W("0"), W("000")):
+        with pytest.raises(ValueError):
+            build(3, THETA).depth_of(label)
 
 
 def test_leaf_counts():
@@ -154,3 +157,28 @@ def test_build_validation():
         build(0, THETA)
     with pytest.raises(ValueError):
         verify_depth_eccentricity(0, THETA)
+
+
+def test_repeated_leaf_labels_are_refused(monkeypatch):
+    rows = fibtree._label_rows(5, THETA)
+    monkeypatch.setattr(fibtree, "_label_rows", lambda n, labeling: rows + rows[:1])
+    with pytest.raises(AssertionError, match="leaf labels are not distinct"):
+        build(5, THETA)
+
+
+def test_a_leaf_label_off_the_cube_is_refused(monkeypatch):
+    # 0b1100 has adjacent 1s, so it is no vertex of the Fibonacci cube of dimension 4
+    label_rows = fibtree._label_rows
+    monkeypatch.setattr(fibtree, "_label_rows", lambda n, labeling: [(0b1100, 4)] + label_rows(n, labeling)[1:])
+    with pytest.raises(AssertionError, match="leaf labels are not the cube's vertices"):
+        verify_depth_eccentricity(4, THETA)
+
+
+def test_the_tree_holds_int_labels_and_builds_no_bitword(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("BitWord built")
+
+    monkeypatch.setattr(fibtree, "BitWord", refuse)
+    tree = build(12, THETA)
+    assert tree.render().count("\n") == tree.leaf_count - 1 == fibonacci(13) - 1
+    assert verify_depth_eccentricity(8, THETA).ok
