@@ -25,7 +25,7 @@ _VERIFY_MAX_N = 16
 # and so do explicit Cartesian powers, by their vertex count
 _VERIFY_MAX_VERTICES = 5000
 # ecc-hist routes, in the order --verify compares them, and each one's cap on --n;
-# at its cap fast takes ~5 s and 117 MB, gf ~0.2 s and 24 MB for --kind lucas
+# at its cap fast takes ~0.6 s and 119 MB, gf ~0.2 s and 24 MB for --kind lucas
 _ECC_HIST_CAPS = {"bfs": _VERIFY_MAX_N, "gf": 500, "hamming": _VERIFY_MAX_N, "fast": 30}
 # density rows at most; the fib/lucas --k cap, so --step 1 stays valid there
 _DENSITY_MAX_ROWS = 20000

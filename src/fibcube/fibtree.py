@@ -104,9 +104,9 @@ def verify_depth_eccentricity(n: int, labeling: LabelingKind = LabelingKind.THET
     tree of index n+1. Leaves are visited shallowest first, so the first
     counterexample reported is the shallowest one.
 
-    Eccentricities come from the Hamming route, not ``fast``: the suffix
-    recursion strips words the way the theta labeling grows them, so a
-    check against it would be circular."""
+    Eccentricities come from the Hamming route, not ``fast``: the fast
+    route builds E_n from E_{n-1} and E_{n-2} as the tree grows from its
+    two subtrees, so a check against it would be circular."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     tree = build(n + 1, labeling)

@@ -365,6 +365,19 @@ def test_ecc_hist_gf_cap(capsys):
     capsys.readouterr()
 
 
+def test_fast_route_at_its_cap_matches_the_series(capsys):
+    # two independent routes, compared far above --verify's cap; a child holds the 2,178,309 vertices
+    cap = cli._ECC_HIST_CAPS["fast"]
+    argv = ["ecc-hist", "--kind", "fib", "--n", str(cap)]
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fast = subprocess.run(
+        [sys.executable, "-m", "fibcube.cli", *argv, "--method", "fast"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (fast.returncode, fast.stderr) == (0, "")
+    assert fast.stdout == capture(capsys, [*argv, "--method", "gf"])[1]
+
+
 def test_ecc_hist_verify_builds_one_graph(capsys, monkeypatch):
     built = []
 

@@ -69,11 +69,28 @@ def test_eccentricity_fast_examples():
 
 
 def test_fast_route_on_the_graph_matches_per_word_and_hamming():
-    for n in range(19):
+    for n in range(23):
         g = CubeGraph(FIB, n)
         fast = g.eccentricities("fast")
         assert fast == [eccentricity_fast(w) for w in g.words()]
         assert fast == g.eccentricities("hamming")
+
+
+# words of length 0..64 without adjacent 1s: x & ~(x >> 1) keeps a 1 only where the symbol to its left is 0
+_FIB_WORDS = st.integers(0, 64).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(lambda x: BitWord(n, x & ~(x >> 1)))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FIB_WORDS)
+def test_fast_eccentricity_is_the_run_formula_read_either_way(w):
+    # the identity behind the fast route's block recursion: n minus floor(r/2)
+    # over the maximal runs of r 0s, which is unchanged by reversing the word
+    runs = str(w).split("1")
+    assert eccentricity_fast(w) == w.n - sum(len(r) // 2 for r in runs)
+    assert eccentricity_fast(W(str(w)[::-1])) == eccentricity_fast(w)
+    assert eccentricity_fast(w) == cube._farthest_word_distance(w.bits, w.n, FIB)
 
 
 def test_vertex_index_is_built_on_first_lookup():
