@@ -1,13 +1,14 @@
 """Graph invariants of Fibonacci cubes, Lucas cubes and hypercubes.
 
 Vertices are the words of the chosen class; two vertices are adjacent
-when they differ in precisely one position. Adjacency is derived on the
-fly (flip one bit, test membership), which keeps memory linear in the
-vertex count. BFS is the implementation of record for distances: from
-one vertex, or from all sources at once in one bit-parallel sweep that
-gives every eccentricity. The Hamming route and the fast route (a
-recursion over the lexicographic blocks of the words) are separate routes
-that the test suite plays against it.
+when they differ in precisely one position. The adjacency lists are built
+on first use (flip each bit, look the word up among the vertices) and
+cached: V lists of at most n vertex indices each. BFS is the
+implementation of record for distances: from one vertex, or from all
+sources at once in one bit-parallel sweep that gives every eccentricity.
+The Hamming route and the fast route (a recursion over the lexicographic
+blocks of the words) are separate routes that read no adjacency, and the
+test suite plays them against it.
 Both families are isometric subgraphs of the hypercube, so the Hamming
 route takes a vertex's eccentricity as the largest Hamming distance to
 a word of the class, found by a DP over the class's automaton in O(n)
@@ -21,7 +22,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_, xor
 
 from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, to_decimal
@@ -46,8 +47,9 @@ class CubeGraph:
     """The graph induced on all words of one class and length.
 
     Vertex order is lexicographic everywhere, so per-vertex results are
-    reproducible. Instances are immutable after construction and all
-    methods are pure, so a graph can be shared between threads.
+    reproducible. The vertex list is fixed at construction; ``_adjacency``
+    builds the neighbour lists on its first call and keeps them in
+    ``self._adj`` for the graph's lifetime.
     """
 
     def __init__(self, word_class: WordClass, n: int):
@@ -55,10 +57,6 @@ class CubeGraph:
         self.n = n
         self._bits = enumerate_bits(n, word_class)
         self._adj: list[list[int]] | None = None
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {b: i for i, b in enumerate(self._bits)}
 
     @property
     def num_vertices(self) -> int:
@@ -72,17 +70,9 @@ class CubeGraph:
     def words(self) -> list[BitWord]:
         return [BitWord(self.n, b) for b in self._bits]
 
-    def __contains__(self, w: BitWord) -> bool:
-        return w.n == self.n and w.bits in self._index
-
-    def index_of(self, w: BitWord) -> int:
-        if w not in self:
-            raise ValueError(f"{w!s} is not a vertex of this graph")
-        return self._index[w.bits]
-
     def _adjacency(self) -> list[list[int]]:
         if self._adj is None:
-            index = self._index
+            index = {b: i for i, b in enumerate(self._bits)}
             adj = []
             for b in self._bits:
                 nbrs = []
@@ -94,10 +84,6 @@ class CubeGraph:
                 adj.append(nbrs)
             self._adj = adj
         return self._adj
-
-    def neighbors(self, w: BitWord) -> list[BitWord]:
-        i = self.index_of(w)
-        return [BitWord(self.n, self._bits[j]) for j in self._adjacency()[i]]
 
     def edge_count_brute(self) -> int:
         """Number of edges by direct enumeration (each counted once)."""
@@ -120,25 +106,6 @@ class CubeGraph:
                         nxt.append(v)
             frontier = nxt
         return dist
-
-    def _connected_levels(self, source_index: int) -> list[int]:
-        dist = self.bfs_levels(source_index)
-        if min(dist) < 0:
-            raise ValueError("graph is not connected")
-        return dist
-
-    def distance(self, u: BitWord, v: BitWord) -> int:
-        """Number of edges on a shortest path, by BFS."""
-        iu, iv = self.index_of(u), self.index_of(v)
-        return self._connected_levels(iu)[iv]
-
-    def eccentricity_bfs(self, u: BitWord) -> int:
-        return max(self._connected_levels(self.index_of(u)))
-
-    def eccentricity_hamming(self, u: BitWord) -> int:
-        """Largest Hamming distance from u to any vertex."""
-        self.index_of(u)
-        return _farthest_word_distance(u.bits, self.n, self.word_class)
 
     def eccentricities(self, method: str = "bfs") -> list[int]:
         """Eccentricity of every vertex, aligned with ``words()``.
@@ -164,7 +131,8 @@ class CubeGraph:
         al., "The More the Merrier", PVLDB 2014): reach[v] is the bitset of the
         sources within distance d of v, and a source that no vertex first
         reaches at distance d + 1 has eccentricity d."""
-        self._connected_levels(0)  # one BFS reaches every vertex of a connected graph
+        if min(self.bfs_levels(0)) < 0:  # one BFS reaches every vertex of a connected graph
+            raise ValueError("graph is not connected")
         adj = self._adjacency()
         reach = [1 << v for v in range(len(adj))]
         ecc = [0] * len(adj)

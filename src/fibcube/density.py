@@ -68,10 +68,6 @@ class ExplicitGraph:
         edges = tuple((i, j) for i, nbrs in enumerate(g._adjacency()) for j in nbrs if i < j)
         return cls(tuple(g.words()), edges)
 
-    @classmethod
-    def hypercube(cls, k: int) -> "ExplicitGraph":
-        return cls.from_cube(CubeGraph(WordClass.UNRESTRICTED, k))
-
 
 def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal], nv_int: int | None = None) -> Decimal:
     """Average degree divided by log2 of the vertex count. It depends on the counts

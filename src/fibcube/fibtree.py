@@ -62,10 +62,6 @@ class LeafTree:
         """(label, depth) pairs in left-to-right order."""
         return tuple((BitWord(self.n - 1, b), d) for b, d in self._rows)
 
-    def leaves_breadth_first(self) -> list[tuple[BitWord, int]]:
-        """Shallowest leaves first, left to right within a level."""
-        return sorted(self.leaves(), key=lambda row: row[1])
-
     def depth_of(self, label: BitWord) -> int:
         # "0", "00" and "000" all encode 0, so the length must match first
         if label.n == self.n - 1 and label.bits in self._depth_by_label:

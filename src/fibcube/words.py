@@ -40,22 +40,6 @@ class BitWord:
     def __str__(self) -> str:
         return format(self.bits, f"0{self.n}b") if self.n else ""
 
-    def bit(self, i: int) -> int:
-        """Symbol at position i, counted 1..n from the left."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"position {i} outside 1..{self.n}")
-        return (self.bits >> (self.n - i)) & 1
-
-    def flip(self, i: int) -> "BitWord":
-        if not 1 <= i <= self.n:
-            raise ValueError(f"position {i} outside 1..{self.n}")
-        return BitWord(self.n, self.bits ^ (1 << (self.n - i)))
-
-    def hamming(self, other: "BitWord") -> int:
-        if self.n != other.n:
-            raise ValueError("Hamming distance needs equal lengths")
-        return (self.bits ^ other.bits).bit_count()
-
     def concat(self, other: "BitWord") -> "BitWord":
         return BitWord(self.n + other.n, (self.bits << other.n) | other.bits)
 

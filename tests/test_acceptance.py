@@ -47,6 +47,10 @@ def _report(number: int, detail: str, started: float) -> None:
     print(f"ACCEPTANCE PASS criterion {number}: {detail} [{time.perf_counter() - started:.2f}s]")
 
 
+def hypercube_graph(k: int) -> ExplicitGraph:
+    return ExplicitGraph.from_cube(CubeGraph(WordClass.UNRESTRICTED, k))
+
+
 def test_criterion_1_eccentricity_sum_sequence(capsys):
     started = time.perf_counter()
     code = run(["ecc-table", "--kind", "fib", "--n-max", "6", "--verify", "--format", "csv"])
@@ -137,11 +141,11 @@ def test_criterion_6_density_lemma_everywhere(capsys):
             g = ExplicitGraph.from_cube(CubeGraph(kind, n))
             built.append((g, n == 1))  # dimension 1 degenerates to Q1 resp. Q0
     for k in range(1, 11):
-        built.append((ExplicitGraph.hypercube(k), True))
+        built.append((hypercube_graph(k), True))
     fib2 = ExplicitGraph.from_cube(CubeGraph(FIB, 2))
     fib3 = ExplicitGraph.from_cube(CubeGraph(FIB, 3))
     luc4 = ExplicitGraph.from_cube(CubeGraph(LUC, 4))
-    k2 = ExplicitGraph.hypercube(1)
+    k2 = hypercube_graph(1)
     for base in (fib2, fib3, luc4):
         for k in range(1, 6):
             g = cartesian_power(base, k)

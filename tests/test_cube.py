@@ -35,28 +35,30 @@ ECC_SUMS_FIB_1_TO_6 = [2, 5, 12, 25, 50, 96]
 ECC_SUMS_LUCAS_1_TO_6 = [0, 5, 7, 22, 37, 81]
 
 
+def _at(g, w):
+    """Index of the vertex w in g's lexicographic vertex order."""
+    return g.vertex_bits.index(w.bits)
+
+
+def _distance(g, u, v):
+    return g.bfs_levels(_at(g, u))[_at(g, v)]
+
+
 def test_distance_examples():
     g3 = CubeGraph(FIB, 3)
-    assert g3.distance(W("010"), W("101")) == 3
-    assert g3.distance(W("010"), W("010")) == 0
+    assert _distance(g3, W("010"), W("101")) == 3
+    assert _distance(g3, W("010"), W("010")) == 0
     q3 = CubeGraph(HYP, 3)
-    assert q3.distance(W("000"), W("111")) == 3
-
-
-def test_distance_rejects_foreign_vertices():
-    g3 = CubeGraph(FIB, 3)
-    with pytest.raises(ValueError):
-        g3.distance(W("011"), W("000"))
-    with pytest.raises(ValueError):
-        g3.distance(W("0100"), W("0000"))
+    assert _distance(q3, W("000"), W("111")) == 3
 
 
 def test_eccentricity_bfs_examples():
     g2 = CubeGraph(FIB, 2)
-    assert g2.eccentricity_bfs(W("00")) == 1
-    assert g2.eccentricity_bfs(W("01")) == 2
+    ecc2 = g2.eccentricities("bfs")
+    assert ecc2[_at(g2, W("00"))] == 1
+    assert ecc2[_at(g2, W("01"))] == 2
     l3 = CubeGraph(LUC, 3)
-    assert l3.eccentricity_bfs(W("000")) == 1
+    assert l3.eccentricities("bfs")[_at(l3, W("000"))] == 1
 
 
 def test_eccentricity_fast_examples():
@@ -93,14 +95,14 @@ def test_fast_eccentricity_is_the_run_formula_read_either_way(w):
     assert eccentricity_fast(w) == cube._farthest_word_distance(w.bits, w.n, FIB)
 
 
-def test_vertex_index_is_built_on_first_lookup():
+def test_only_the_bfs_route_builds_the_adjacency():
+    # the routes that read no neighbour build no adjacency
     g = CubeGraph(FIB, 6)
     g.eccentricities("fast")
     g.eccentricities("hamming")
-    assert "_index" not in vars(g)
-    assert g.index_of(W("000101")) == g.vertex_bits.index(0b000101)
-    assert W("000011") not in g
-    assert "_index" in vars(g)
+    assert g._adj is None
+    g.eccentricities("bfs")
+    assert g._adj is not None
 
 
 def test_histogram_examples():
@@ -340,9 +342,14 @@ def test_density_lemma_bound_on_cubes():
 
 def test_neighbors_are_sorted_and_correct():
     g = CubeGraph(FIB, 4)
-    nbrs = g.neighbors(W("0101"))
+    words = g.words()
+
+    def neighbors(w):
+        return [words[j] for j in g._adjacency()[_at(g, w)]]
+
+    nbrs = neighbors(W("0101"))
     assert [str(w) for w in nbrs] == ["0001", "0100"]
-    assert str(sorted(g.neighbors(W("0000")))[0]) == "0001"
+    assert str(sorted(neighbors(W("0000")))[0]) == "0001"
 
 
 def test_ecc_histogram_rejects_fast_for_lucas():
@@ -357,9 +364,7 @@ def test_ecc_histogram_rejects_fast_for_lucas():
 def test_fast_recursion_matches_hamming_on_random_vertices(n, data):
     bits = enumerate_bits(n, FIB)
     b = data.draw(st.sampled_from(bits))
-    g = CubeGraph(FIB, n)
-    w = BitWord(n, b)
-    assert eccentricity_fast(w) == g.eccentricity_hamming(w)
+    assert eccentricity_fast(BitWord(n, b)) == cube._farthest_word_distance(b, n, FIB)
 
 
 def _hamming_scan(g):
@@ -374,7 +379,6 @@ def test_hamming_route_matches_all_pairs_scan(kind, n):
     g = CubeGraph(kind, n)
     scan = _hamming_scan(g)
     assert g.eccentricities("hamming") == scan
-    assert [g.eccentricity_hamming(w) for w in g.words()] == scan
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,12 +399,9 @@ def test_hamming_route_degenerate_and_hypercube_cases():
     for n in (0, 1):  # the single-vertex Lucas cubes
         g = CubeGraph(LUC, n)
         assert g.eccentricities("hamming") == [0]
-        assert g.eccentricity_hamming(BitWord(n, 0)) == 0
     for n in range(0, 11):
         g = CubeGraph(HYP, n)
         assert g.eccentricities("hamming") == [n] * 2**n
-    with pytest.raises(ValueError):
-        CubeGraph(LUC, 3).eccentricity_hamming(W("101"))
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,10 +40,14 @@ def lucas_graph(n):
     return ExplicitGraph.from_cube(CubeGraph(LUC, n))
 
 
+def hypercube_graph(k):
+    return ExplicitGraph.from_cube(CubeGraph(WordClass.UNRESTRICTED, k))
+
+
 def test_rho_hypercube_is_one():
     # the equality case of the density lemma: exactly 1, not rounded near it
-    assert rho(ExplicitGraph.hypercube(3)) == 1
-    assert rho(ExplicitGraph.hypercube(1)) == 1
+    assert rho(hypercube_graph(3)) == 1
+    assert rho(hypercube_graph(1)) == 1
     for k in range(1, 1001):
         assert rho((2**k, k * 2 ** (k - 1))) == 1
 
@@ -90,8 +94,8 @@ def test_density_lemma_at_the_boundary():
 def test_density_lemma_on_everything_built_here():
     graphs = [fib_graph(n) for n in range(1, 11)]
     graphs += [lucas_graph(n) for n in range(1, 11)]
-    graphs += [ExplicitGraph.hypercube(k) for k in range(1, 9)]
-    graphs.append(cartesian_product(fib_graph(2), ExplicitGraph.hypercube(1)))
+    graphs += [hypercube_graph(k) for k in range(1, 9)]
+    graphs.append(cartesian_product(fib_graph(2), hypercube_graph(1)))
     graphs.append(cartesian_power(fib_graph(3), 3))
     for g in graphs:
         holds, equal = density_lemma_check(g.num_vertices, g.num_edges)
@@ -119,7 +123,7 @@ def test_subdivided_complete_density_sinks():
 
 
 def test_cartesian_product_examples():
-    k2 = ExplicitGraph.hypercube(1)
+    k2 = hypercube_graph(1)
     q3 = cartesian_power(k2, 3)
     assert (q3.num_vertices, q3.num_edges) == (8, 12)
     holds, equal = density_lemma_check(q3.num_vertices, q3.num_edges)

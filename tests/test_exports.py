@@ -1,8 +1,12 @@
-"""The package's export list names exactly what it binds."""
+"""The package's export list names exactly what it binds, and the README's
+library example runs against it."""
 
 import inspect
+import pathlib
 
 import fibcube
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_star_import_binds_exactly_all():
@@ -23,3 +27,13 @@ def test_every_public_name_is_exported():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(fibcube.__all__)
+
+
+def test_readme_library_example_runs():
+    # a public name removed or renamed later fails here instead of leaving the README stale
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Library\n") :]
+    start = section.index("```python\n") + len("```python\n")
+    block = section[start : section.index("\n```", start)]
+    assert "CubeGraph(" in block
+    exec(compile(block, "README.md (Library)", "exec"), {})

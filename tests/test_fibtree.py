@@ -137,14 +137,13 @@ def test_depth_total_equals_eccentricity_total():
 
 
 def test_breadth_first_order_is_stable_by_depth():
-    tree = build(5, THETA)
-    rows = tree.leaves_breadth_first()
-    depths = [d for _, d in rows]
-    assert depths == sorted(depths)
-    # within a depth, left-to-right order of the plain listing is preserved
-    dfs = list(tree.leaves())
-    for d in set(depths):
-        assert [r for r in rows if r[1] == d] == [r for r in dfs if r[1] == d]
+    # the depth check reports the shallowest mismatch, left to right within a depth
+    for n in range(2, 13):
+        g = CubeGraph(WordClass.FIBONACCI, n)
+        ecc = dict(zip(g.words(), g.eccentricities("hamming")))
+        rows = sorted(build(n + 1, STD).leaves(), key=lambda row: row[1])  # stable
+        first = next((label, d, ecc[label]) for label, d in rows if ecc[label] != d)
+        assert verify_depth_eccentricity(n, STD).counterexample == first
 
 
 def test_render_tree_three():

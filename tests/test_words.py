@@ -117,17 +117,13 @@ def test_lucas_is_fibonacci_minus_wraparound():
     for n in range(1, 21):
         fib = enumerate_words(n, WordClass.FIBONACCI)
         luc = set(enumerate_words(n, WordClass.LUCAS))
-        expected = {w for w in fib if not (w.bit(1) == 1 and w.bit(n) == 1)}
+        expected = {w for w in fib if not (str(w)[0] == "1" and str(w)[-1] == "1")}
         assert luc == expected
 
 
 def test_bitword_accessors():
     w = W("0110")
     assert (w.n, w.bits) == (4, 0b0110)
-    assert [w.bit(i) for i in (1, 2, 3, 4)] == [0, 1, 1, 0]
-    assert str(w.flip(1)) == "1110"
-    assert str(w.flip(4)) == "0111"
-    assert w.hamming(W("0101")) == 2
     assert str(W("10").concat(W("01"))) == "1001"
     assert W("").concat(W("1")) == W("1")
 
@@ -137,10 +133,6 @@ def test_bitword_validation():
         BitWord(-1, 0)
     with pytest.raises(ValueError):
         BitWord(2, 4)
-    with pytest.raises(ValueError):
-        W("01").bit(3)
-    with pytest.raises(ValueError):
-        W("01").hamming(W("011"))
 
 
 def test_bitword_ordering_is_lexicographic_for_equal_lengths():
