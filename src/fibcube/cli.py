@@ -14,7 +14,6 @@ import sys
 from decimal import Context, Decimal, localcontext
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import cube, density, fibtree, series
 from .numeric import _CTX, _LN2, DIGITS, golden_ratio, sqrt5, to_decimal
 from .words import WordClass, word_blocks
 
@@ -110,10 +109,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_ecc_table(args) -> int:
+    from . import cube
+
     kind = _KINDS[args.kind]
     if args.verify and args.n_max > _VERIFY_MAX_N:
         raise _UsageError(f"--verify enumerates every vertex; use --n-max <= {_VERIFY_MAX_N}")
     if args.verify:
+        from . import series
+
         gf_sums = series.ecc_sum_from_gf(args.n_max, kind)
         for n, nv, ne, es, _, _ in cube.ecc_rows(args.n_max, kind):
             g = cube.CubeGraph(kind, n)
@@ -134,6 +137,8 @@ def _cmd_ecc_table(args) -> int:
 
 
 def _cmd_ecc_hist(args) -> int:
+    from . import cube
+
     kind = _KINDS[args.kind]
     n = args.n
     routes = [r for r in _ECC_HIST_CAPS if r != "fast" or kind is WordClass.FIBONACCI]
@@ -144,7 +149,13 @@ def _cmd_ecc_hist(args) -> int:
     if n > cap:
         raise _UsageError(f"--n must be <= {cap} with {option}")
     graph = functools.cache(lambda: cube.CubeGraph(kind, n))
-    hists = {r: (series._histograms(n, kind)[n] if r == "gf" else graph().ecc_histogram(r)).counts for r in routes}
+
+    def gf():
+        from . import series
+
+        return series._histograms(n, kind)[n]
+
+    hists = {r: (gf() if r == "gf" else graph().ecc_histogram(r)).counts for r in routes}
     if not _agree(f"n={n}", "histogram", **hists):
         return 2
     _emit(_table(["k", "count"], lambda: ([str(k), str(c)] for k, c in hists[args.method].items()), args.format))
@@ -152,6 +163,8 @@ def _cmd_ecc_hist(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    from . import cube
+
     kind = _KINDS[args.kind]
     n = args.n
     if kind is WordClass.LUCAS and n == 1:
@@ -181,6 +194,8 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_tree_check(args) -> int:
+    from . import fibtree
+
     labeling = fibtree.LabelingKind(args.labeling)
     check = fibtree.verify_depth_eccentricity(args.n, labeling)
     label, depth, ecc = check.counterexample or ("", "", "")
@@ -194,6 +209,8 @@ def _cmd_tree_check(args) -> int:
 
 
 def _cmd_tree_print(args) -> int:
+    from . import fibtree
+
     tree = fibtree.build(args.n, fibtree.LabelingKind(args.labeling))
     if args.format == "csv":
         _emit(_table(["depth", "label"], lambda: ([str(d), str(label)] for label, d in tree.leaves()), "csv"))
@@ -202,7 +219,9 @@ def _cmd_tree_print(args) -> int:
     return 0
 
 
-def _fib_powers(base_n: int | None) -> density.GraphFamily:
+def _fib_powers(density, base_n: int | None):
+    from . import cube
+
     if base_n is None:
         raise _UsageError("--family power needs --base-n")
     nv = cube.vertex_count(base_n, WordClass.FIBONACCI)
@@ -210,23 +229,26 @@ def _fib_powers(base_n: int | None) -> density.GraphFamily:
     return density.power_family(nv, ne, name=f"fib-{base_n}-powers")
 
 
-# --family -> (family from --base-n, cap on --k); the cube caps are the row bound
+# --family -> (family from the density module and --base-n, cap on --k); the cube caps
+# are the row bound. The module is an argument: cli imports it only in _cmd_density
 _DENSITY_FAMILIES = {
-    "fib": (lambda _: density.fibonacci_cube_family(), _DENSITY_MAX_ROWS),
-    "lucas": (lambda _: density.lucas_cube_family(), _DENSITY_MAX_ROWS),
-    "skk": (lambda _: density.subdivided_complete_family(), 10**6),
-    "cycles": (lambda _: density.even_cycle_family(), 10**12),
+    "fib": (lambda density, _: density.fibonacci_cube_family(), _DENSITY_MAX_ROWS),
+    "lucas": (lambda density, _: density.lucas_cube_family(), _DENSITY_MAX_ROWS),
+    "skk": (lambda density, _: density.subdivided_complete_family(), 10**6),
+    "cycles": (lambda density, _: density.even_cycle_family(), 10**12),
     "power": (_fib_powers, 1000),
 }
 
 
 def _cmd_density(args) -> int:
+    from . import cube, density
+
     make_family, cap = _DENSITY_FAMILIES[args.family]
     if args.k > cap:
         raise _UsageError(f"--k must be <= {cap} for family {args.family}")
     if args.family != "power" and args.base_n is not None:
         raise _UsageError("--base-n applies to --family power only")
-    family = make_family(args.base_n)
+    family = make_family(density, args.base_n)
     if args.k < family.first_index:
         raise _UsageError(f"--k must be >= {family.first_index} for family {args.family}")
     ks = density.sampled_indices(family, args.k, args.step if args.step is not None else max(1, args.k // 200))
@@ -262,6 +284,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_limits(args) -> int:
+    from . import cube, density
+
     with localcontext(_CTX):
         s5 = sqrt5()
         ecc_limit = (5 + s5) / 10

@@ -19,18 +19,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import reduce
 from operator import or_, xor
+from typing import NamedTuple
 
 from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, to_decimal
 from .words import BitWord, WordClass, enumerate_bits, is_fibonacci
 
 
-@dataclass(frozen=True)
-class EccHistogram:
+class EccHistogram(NamedTuple):
     """counts[k] = number of vertices with eccentricity k."""
 
     n: int

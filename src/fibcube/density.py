@@ -8,17 +8,15 @@ product machinery used to manufacture families with prescribed density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cube import _EXACT, CubeGraph, count_rows, edge_count, vertex_count
 from .numeric import _CTX, log2_int, to_decimal
 from .words import BitWord, WordClass
 
 
-@dataclass(frozen=True)
-class ExplicitGraph:
+class ExplicitGraph(NamedTuple("ExplicitGraph", [("vertices", tuple), ("edges", tuple)])):
     """A concrete hypercube subgraph: labeled vertices plus an edge list.
 
     Vertices are equal-length distinct words; edges are index pairs
@@ -27,32 +25,33 @@ class ExplicitGraph:
     ExplicitGraph is holding a hypercube-subgraph witness.
     """
 
-    vertices: tuple[BitWord, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __new__(cls, vertices: tuple[BitWord, ...], edges: tuple[tuple[int, int], ...]) -> "ExplicitGraph":
+        if not vertices:
             raise ValueError("a graph needs at least one vertex")
-        length = self.vertices[0].n
+        length = vertices[0].n
         seen = set()
-        for w in self.vertices:
+        for w in vertices:
             if w.n != length:
                 raise ValueError("vertex labels must share one length")
             if w.bits in seen:
                 raise ValueError(f"duplicate vertex label {w!s}")
             seen.add(w.bits)
         edge_set = set()
-        for i, j in self.edges:
-            if not (0 <= i < j < len(self.vertices)):
+        for i, j in edges:
+            if not (0 <= i < j < len(vertices)):
                 raise ValueError(f"bad edge indices ({i}, {j})")
             if (i, j) in edge_set:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             edge_set.add((i, j))
-            if (self.vertices[i].bits ^ self.vertices[j].bits).bit_count() != 1:
+            if (vertices[i].bits ^ vertices[j].bits).bit_count() != 1:
                 raise ValueError(
-                    f"edge {self.vertices[i]!s} -- {self.vertices[j]!s} "
+                    f"edge {vertices[i]!s} -- {vertices[j]!s} "
                     "does not flip exactly one position"
                 )
+        return super().__new__(cls, vertices, edges)
 
     @property
     def num_vertices(self) -> int:
@@ -145,8 +144,7 @@ def cartesian_power(g: ExplicitGraph, k: int) -> ExplicitGraph:
     return out
 
 
-@dataclass(frozen=True)
-class GraphFamily:
+class GraphFamily(NamedTuple):
     """An increasing family given by closed-form counts per index."""
 
     name: str
@@ -154,8 +152,7 @@ class GraphFamily:
     counts: Callable[[int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class _CubeCounts:
+class _CubeCounts(NamedTuple):
     """The counts of a cube family: closed forms per dimension, and count_rows for a table."""
 
     kind: WordClass
@@ -193,8 +190,7 @@ def power_family(base_vertices: int, base_edges: int, name: str = "powers") -> G
     )
 
 
-@dataclass(frozen=True)
-class RhoRow:
+class RhoRow(NamedTuple):
     """One density row. Its counts are exact integer Decimals, up to thousands of
     digits long: arithmetic on them in a context of fewer digits rounds
     (the default has 28), so compute with int(count) or an exact context."""

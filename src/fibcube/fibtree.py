@@ -11,10 +11,9 @@ the checker demonstrates. Labels are ints inside, ``BitWord``s at the API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .cube import CubeGraph
 from .words import BitWord, WordClass
 
 
@@ -82,8 +81,7 @@ def depth_sum(n: int, labeling: LabelingKind = LabelingKind.THETA) -> int:
     return sum(d for _, d in _label_rows(n, labeling))
 
 
-@dataclass(frozen=True)
-class DepthEccCheck:
+class DepthEccCheck(NamedTuple):
     """Outcome of playing leaf depths against cube eccentricities."""
 
     n: int
@@ -103,6 +101,8 @@ def verify_depth_eccentricity(n: int, labeling: LabelingKind = LabelingKind.THET
     Eccentricities come from the Hamming route, not ``fast``: the fast
     route builds E_n from E_{n-1} and E_{n-2} as the tree grows from its
     two subtrees, so a check against it would be circular."""
+    from .cube import CubeGraph  # here, so that building and printing trees never compiles cube
+
     if n < 1:
         raise ValueError("dimension must be >= 1")
     tree = build(n + 1, labeling)

@@ -8,8 +8,8 @@ eccentricity sums those of its y-derivative at y = 1. No graph is enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cube import EccHistogram
 from .words import WordClass
@@ -17,8 +17,7 @@ from .words import WordClass
 Poly = dict[tuple[int, int], int | Fraction]  # {(i, j): coefficient of x^i y^j}
 
 
-@dataclass(frozen=True)
-class BiSeries:
+class BiSeries(NamedTuple):
     """coeff[i][j] is the coefficient of x^i y^j, 0 <= i <= max_x, 0 <= j <= max_y."""
 
     max_x: int

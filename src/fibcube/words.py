@@ -9,9 +9,8 @@ allowed suffix, so a consumer that streams them holds one block at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class WordClass(Enum):
@@ -20,18 +19,18 @@ class WordClass(Enum):
     UNRESTRICTED = "unrestricted"
 
 
-@dataclass(frozen=True, order=True)
-class BitWord:
+class BitWord(NamedTuple("BitWord", [("n", int), ("bits", int)])):
     """A fixed-length binary word; position 1 is the leftmost symbol."""
 
-    n: int
-    bits: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __new__(cls, n: int, bits: int) -> "BitWord":
+        if n < 0:
             raise ValueError("word length must be >= 0")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits 0b{self.bits:b} do not fit in length {self.n}")
+        if not 0 <= bits < (1 << n):
+            raise ValueError(f"bits 0b{bits:b} do not fit in length {n}")
+        return super().__new__(cls, n, bits)
 
     @classmethod
     def from_string(cls, s: str) -> "BitWord":

@@ -678,6 +678,49 @@ def test_repeated_runs_are_byte_identical(capsys):
         assert hashes[0] == hashes[1], argv
 
 
+# A fresh interpreter without site: runs one subcommand, if given, and lists every loaded module.
+_MODULES_AFTER = """
+import io, sys
+from fibcube import cli
+if sys.argv[1:]:
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    assert cli.run(sys.argv[1:]) == 0
+    sys.stdout = stdout
+print(*sorted(sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, runs",
+    [
+        ("", ""),  # the import alone
+        ("enumerate --kind lucas --n 5", ""),
+        ("tree-print --n 6", "fibtree"),
+        ("tree-check --n 5", "fibtree cube"),
+        ("ecc-hist --kind fib --n 6 --method fast", "cube"),
+        ("ecc-hist --kind lucas --n 6 --method gf", "cube series"),
+        ("ecc-table --kind fib --n-max 6", "cube"),
+        ("ecc-table --kind fib --n-max 6 --verify", "cube series"),
+        ("weights --kind fib --n 5 --verify", "cube"),
+        ("density --family fib --k 10", "cube density"),
+        ("limits", "cube density"),
+    ],
+)
+def test_each_subcommand_imports_only_the_modules_it_runs(command, runs):
+    # a child pays at start-up for every module it imports, used or not
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _MODULES_AFTER, *command.split()],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    package = {m for m in loaded if m == "fibcube" or m.startswith("fibcube.")}
+    always = {"fibcube", "fibcube.cli", "fibcube.numeric", "fibcube.words"}
+    assert package == always | {f"fibcube.{m}" for m in runs.split()}
+
+
 def test_subprocess_runs_are_byte_identical():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

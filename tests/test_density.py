@@ -159,6 +159,8 @@ def test_explicit_graph_validation():
         ExplicitGraph((W("00"), W("11")), ((0, 1),))
     with pytest.raises(ValueError):  # unordered edge indices
         ExplicitGraph((W("00"), W("01")), ((1, 0),))
+    with pytest.raises(ValueError):  # a copy with a field replaced is validated too
+        ExplicitGraph((W("00"), W("01")), ((0, 1),))._replace(edges=((1, 0),))
 
 
 def test_even_cycles_bounded_degree():

@@ -133,6 +133,16 @@ def test_bitword_validation():
         BitWord(-1, 0)
     with pytest.raises(ValueError):
         BitWord(2, 4)
+    with pytest.raises(ValueError):  # a copy with a field replaced is validated too
+        W("01")._replace(bits=4)
+
+
+def test_bitword_is_an_immutable_tuple_of_its_fields():
+    w = W("101")
+    assert w == (3, 5) and hash(w) == hash((3, 5)) and tuple(w) == (3, 5) and w[1] == 5
+    assert repr(w) == "BitWord(n=3, bits=5)"
+    with pytest.raises(AttributeError):
+        w.bits = 0
 
 
 def test_bitword_ordering_is_lexicographic_for_equal_lengths():
