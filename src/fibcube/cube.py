@@ -300,11 +300,12 @@ def weight_count(n: int, i: int, chi: int, kind: WordClass) -> int:
     return fibonacci(n + 1) if chi == 0 else fibonacci(n - 1)
 
 
-def weight_count_brute(n: int, i: int, chi: int, kind: WordClass) -> int:
-    if not 1 <= i <= n:
-        raise ValueError(f"position {i} outside 1..{n}")
-    shift = n - i
-    return sum(1 for b in enumerate_bits(n, kind) if (b >> shift) & 1 == chi)
+def weight_counts_brute(n: int, kind: WordClass) -> list[tuple[int, int]]:
+    """(words with 0, words with 1) at each position i = 1..n, from one enumeration:
+    the 1s counted per position, the 0s the vertices left over."""
+    bits = enumerate_bits(n, kind)
+    ones = [sum(b >> (n - i) & 1 for b in bits) for i in range(1, n + 1)]
+    return [(len(bits) - one, one) for one in ones]
 
 
 def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
@@ -368,28 +369,46 @@ def count_rows(ks: range, kind: WordClass):
         yield row
 
 
-def ecc_rows(n_max: int, kind: WordClass):
-    """Rows (n, vertices, edges, ecc_sum, (p, q), avg_ecc_over_n), n = 1..n_max,
-    from one sweep of (F(n), F(n+1)): exact integer Decimals by the closed
-    forms that vertex_count, edge_count and ecc_sum_closed evaluate per
-    dimension; p/q is the average eccentricity in lowest terms.
+def _ecc_row(n: int, f0, f1, kind: WordClass):
+    """The row (n, vertices, edges, ecc_sum, (p, q), avg_ecc_over_n) from F(n), F(n+1)
+    as exact integer Decimals, in the _EXACT context; p/q is the average
+    eccentricity in lowest terms.
 
     g = gcd(ecc_sum, vertices) divides a small m. Fibonacci: 5 ecc_sum =
     (3 - n)F(n) mod F(n+2), prime to F(n), so m = |n - 3|, or m = F(5) at
     n = 3. Lucas: ecc_sum = c - nF(n-1) mod L(n), c = (-1)^n (n - n//2), and
     -5F(n-1)^2 = (-1)^n, so m = (-1)^n n^2 + 5c^2."""
+    nv, ne, es = _vertices(f0, f1, kind), _edges(n, f0, f1, kind), _ecc_sum(n, f0, f1, kind)
+    if kind is WordClass.FIBONACCI:
+        m = abs(n - 3) or int(nv)
+    else:
+        m = (-1) ** n * n * n + 5 * (n - n // 2) ** 2
+    g = math.gcd(m, int(es % m), int(nv % m))
+    return n, nv, ne, es, (_exact_div(es, g), _exact_div(nv, g)), _CTX.divide(es, nv * n)
+
+
+def ecc_rows(n_max: int, kind: WordClass):
+    """The rows of _ecc_row for n = 1..n_max, from one sweep of (F(n), F(n+1)):
+    exact integer Decimals by the closed forms that vertex_count, edge_count and
+    ecc_sum_closed evaluate per dimension."""
     _require_kind(kind)
     f0 = f1 = Decimal(1)  # F(n), F(n+1)
     for n in range(1, n_max + 1):
         with localcontext(_EXACT):
-            nv, ne, es = _vertices(f0, f1, kind), _edges(n, f0, f1, kind), _ecc_sum(n, f0, f1, kind)
-            if kind is WordClass.FIBONACCI:
-                m = abs(n - 3) or int(nv)
-            else:
-                m = (-1) ** n * n * n + 5 * (n - n // 2) ** 2
-            g = math.gcd(m, int(es % m), int(nv % m))
-            row = n, nv, ne, es, (_exact_div(es, g), _exact_div(nv, g)), _CTX.divide(es, nv * n)
+            row = _ecc_row(n, f0, f1, kind)
             f0, f1 = f1, f0 + f1
+        yield row
+
+
+def ecc_rows_down(n_max: int, kind: WordClass):
+    """The rows of ecc_rows in reverse, n = n_max..1, stepped down from one
+    fibonacci_pair(n_max) by F(n-1) = F(n+1) - F(n)."""
+    _require_kind(kind)
+    f0, f1 = map(Decimal, fibonacci_pair(n_max))
+    for n in range(n_max, 0, -1):
+        with localcontext(_EXACT):
+            row = _ecc_row(n, f0, f1, kind)
+            f0, f1 = f1 - f0, f0
         yield row
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import pathlib
@@ -109,6 +110,7 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
         (["density", "--family", "fib", "--k", "20000"], 201),
         (["density", "--family", "lucas", "--k", "20000"], 201),
         (["density", "--family", "fib", "--k", "20000", "--step", "1000000000000"], 2),
+        (["ecc-table", "--kind", "fib", "--n-max", "20000", "--digits", "50"], 20001),
     ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
@@ -168,6 +170,31 @@ def test_ecc_table_matches_the_int_rendering(capsys, fmt, kind, n_max):
         assert len(rows[-1][4]) < max(len(r[4]) for r in rows + [header])
 
 
+@functools.cache
+def _int_ecc_cells(kind):
+    """ecc-table's cells but the last, n = 1..3500, from the int closed forms."""
+    k = _KINDS[kind]
+    return [
+        [str(n), str(cube.vertex_count(n, k)), str(cube.edge_count(n, k)), str(cube.ecc_sum_closed(n, k)),
+         str(cube.average_ecc(n, k))]
+        for n in range(1, 3501)
+    ]
+
+
+@pytest.mark.parametrize("digits", [1, 2, 12, 50])
+@pytest.mark.parametrize("kind", ["fib", "lucas"])
+def test_ecc_table_widths_from_the_walk_match_the_widest_cells(capsys, kind, digits):
+    # the text takes its widths from a few rows walked back from n_max; _old_table from every row
+    k = _KINDS[kind]
+    over_n = [format_significant(cube.average_ecc_over_n(n, k), digits) for n in range(1, 3501)]
+    rows = [[*cells, o] for cells, o in zip(_int_ecc_cells(kind), over_n)]
+    header = ["n", "vertices", "edges", "ecc_sum", "avg_ecc", "avg_ecc_over_n"]
+    for n_max in [*range(1, 301), 3500]:
+        code, out = capture(capsys, ["ecc-table", "--kind", kind, "--n-max", str(n_max), "--digits", str(digits)])
+        assert code == 0
+        assert out == _old_table(header, rows[:n_max], "text"), n_max
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 @pytest.mark.parametrize("kind, n", [("fib", 1), ("fib", 9), ("lucas", 2), ("lucas", 30)])
 def test_weights_match_the_int_rendering(capsys, fmt, kind, n):
@@ -210,6 +237,21 @@ def test_weights_sweeps_once_per_table_pass(capsys, monkeypatch, fmt, sweeps):
     code, _ = capture(capsys, ["weights", "--kind", "fib", "--n", "9", "--format", fmt])
     assert code == 0
     assert calls == [9] * sweeps
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("n_max", [1, 14, 3500, 20000])
+def test_ecc_table_sweeps_once_and_walks_back_a_few_rows(capsys, monkeypatch, fmt, n_max):
+    calls, walked = [], []
+    walk = cube.ecc_rows_down
+    # the forward sweep yields no row here, so only its calls and the walk's rows are counted
+    monkeypatch.setattr(cube, "ecc_rows", lambda n, kind: calls.append(n) or iter(()))
+    monkeypatch.setattr(cube, "ecc_rows_down", lambda n, kind: (walked.append(r[0]) or r for r in walk(n, kind)))
+    code, _ = capture(capsys, ["ecc-table", "--kind", "fib", "--n-max", str(n_max), "--format", fmt])
+    assert code == 0
+    assert calls == [n_max]
+    assert walked == list(range(n_max, n_max - len(walked), -1))
+    assert 1 <= len(walked) <= 50 if fmt == "text" else walked == []
 
 
 ALL_COMMANDS = [

@@ -13,12 +13,13 @@ from fibcube.cube import (
     average_ecc,
     average_ecc_over_n,
     ecc_rows,
+    ecc_rows_down,
     ecc_sum_closed,
     eccentricity_fast,
     edge_count,
     vertex_count,
     weight_count,
-    weight_count_brute,
+    weight_counts_brute,
     weight_ratio_average,
     weight_ratio_average_decimal,
     weight_rows,
@@ -173,9 +174,11 @@ def test_weight_count_examples():
 def test_weight_count_matches_brute_force():
     for kind in (FIB, LUC):
         for n in range(1, 13):
+            brute = weight_counts_brute(n, kind)
+            assert len(brute) == n
             for i in range(1, n + 1):
                 for chi in (0, 1):
-                    assert weight_count(n, i, chi, kind) == weight_count_brute(n, i, chi, kind)
+                    assert weight_count(n, i, chi, kind) == brute[i - 1][chi]
 
 
 def test_weight_count_validation():
@@ -244,6 +247,31 @@ def test_ecc_rows_reduce_by_the_full_gcd_to_3000(kind):
 def test_ecc_rows_at_the_special_moduli():
     assert list(ecc_rows(3, FIB))[2][4] == (12, 5)
     assert [row[4] for row in ecc_rows(2, LUC)] == [(0, 1), (5, 3)]
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_ecc_rows_down_are_ecc_rows_reversed(kind):
+    for n_max in [*range(1, 41), 3500]:
+        assert list(ecc_rows_down(n_max, kind)) == list(ecc_rows(n_max, kind))[::-1], n_max
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_ecc_rows_bound_the_table_widths_to_3500(kind):
+    # what lets ecc-table take its text widths from its last rows
+    rows = list(ecc_rows(3500, kind))
+    for (_, *low), (_, *high) in zip(rows, rows[1:]):
+        assert all(a <= b for a, b in zip(low[:3], high[:3]))  # vertices, edges, ecc_sum
+    for n, nv, _, es, _, over_n in rows[1:]:
+        assert n // 2 * nv <= es <= n * nv, n
+        assert Decimal(1) / 3 <= over_n <= 1, n
+
+
+@pytest.mark.parametrize("kind, radius, diameter", [(FIB, lambda n: (n + 1) // 2, lambda n: n),
+                                                     (LUC, lambda n: n // 2, lambda n: n // 2 * 2)])
+def test_radius_and_diameter_by_bfs(kind, radius, diameter):
+    for n in range(2, 14):
+        eccs = CubeGraph(kind, n).eccentricities("bfs")
+        assert (min(eccs), max(eccs)) == (radius(n), diameter(n)), n
 
 
 @settings(max_examples=25, deadline=None)
