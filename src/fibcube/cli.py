@@ -41,14 +41,19 @@ class _Parser(argparse.ArgumentParser):
 
 def format_significant(value: Decimal, digits: int) -> str:
     """Render with exactly ``digits`` significant digits."""
-    with localcontext(Context(prec=digits + 2)):
-        d = Decimal(value)
-        if d == 0:
-            return "0"
-        q = d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1)))
-        if q.adjusted() > d.adjusted():  # rounding carried into a new digit
-            q = q.quantize(Decimal((0, (1,), q.adjusted() - digits + 1)))
-        return str(q)
+    ctx = _quantize_context(digits)
+    d = Decimal(value)
+    if d == 0:
+        return "0"
+    q = d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1)), context=ctx)
+    if q.adjusted() > d.adjusted():  # rounding carried into a new digit
+        q = q.quantize(Decimal((0, (1,), q.adjusted() - digits + 1)), context=ctx)
+    return str(q)
+
+
+@functools.cache
+def _quantize_context(digits: int) -> Context:
+    return Context(prec=digits + 2)
 
 
 def _agree(at: str, what: str, **routes) -> bool:
@@ -77,10 +82,11 @@ def _cell_width(cell) -> int:
 def _table(
     header: list[str], rows: Callable, fmt: str, left: frozenset[int] = frozenset(), widths: list[int] | None = None
 ) -> Iterator[str]:
-    """The lines of a table; ``rows()`` yields the rows afresh at each call.
-    A cell is text, or a tuple of exact integer Decimals joined by "/". Text
-    pads each column to ``widths``, by default the widest cell of the column,
-    found in a first pass that renders no Decimal.
+    """The lines of a table. A cell is text, or a tuple of exact integer Decimals
+    joined by "/". Text pads each column to ``widths``; without them, a first
+    call of ``rows()`` finds the widest cell of each column, rendering no
+    Decimal, and a second renders the rows. csv, and text given its widths (as
+    ecc-table and weights give them), call ``rows()`` once.
     """
     if fmt == "csv":
         return itertools.chain([",".join(header)], (",".join(map(_cell_text, r)) for r in rows()))
@@ -131,9 +137,12 @@ def _cmd_ecc_table(args) -> int:
             ):
                 return 2
 
-    def cells(row):
+    def cells(row):  # p/q is ecc_sum/vertices itself when g = 1, so their text is reused
         n, nv, ne, es, (p, q), over_n = row
-        return [str(n), (nv,), (ne,), (es,), (p,) if q == 1 else (p, q), format_significant(over_n, args.digits)]
+        es_text, nv_text = str(es), str(nv)
+        pq = (es_text, nv_text) if p is es else (str(p), str(q))
+        avg = pq[0] if q == 1 else "/".join(pq)
+        return [str(n), nv_text, str(ne), es_text, avg, format_significant(over_n, args.digits)]
 
     header = ["n", "vertices", "edges", "ecc_sum", "avg_ecc", "avg_ecc_over_n"]
     widths = None
@@ -157,8 +166,7 @@ def _ecc_widths(header: list[str], rows_down: Iterable[list], digits: int) -> li
     widths = list(map(len, header))
     for row in rows_down:
         widths = list(map(max, widths, map(_cell_width, row)))
-        (nv,), (es,) = row[1], row[3]
-        if _cell_width((es, nv)) <= widths[4] and widths[5] >= digits + 2:
+        if len(row[3]) + 1 + len(row[1]) <= widths[4] and widths[5] >= digits + 2:
             break
     return widths
 
@@ -202,21 +210,34 @@ def _cmd_weights(args) -> int:
         for (i, zero, one), brute in zip(cube.weight_rows(n, kind), cube.weight_counts_brute(n, kind), strict=True):
             if not _agree(f"i={i}", "weight counts", sweep=(int(zero), int(one)), brute=brute):
                 return 2
-    ratios: list[str] = []  # each ratio cell, then the mean, rendered in the first pass only
+    header = ["i", "zero_count", "one_count", "ratio"]
+    sums = cube.weight_ratio_sums(n, kind)
+    head = list(itertools.islice(sums, 2))
 
     def rows():
-        if ratios:
-            for (i, zero, one), ratio in zip(cube.weight_rows(n, kind), ratios):
-                yield [str(i), (zero,), (one,), ratio]
-        else:
-            for i, zero, one, total in cube.weight_ratio_sums(n, kind):
-                ratios.append(format_significant(_CTX.divide(zero, one), args.digits))
-                yield [str(i), (zero,), (one,), ratios[-1]]
-            ratios.append(format_significant(_CTX.divide(total, n), args.digits))
-        yield ["avg", "", "", ratios[-1]]
+        for i, zero, one, total in itertools.chain(head, sums):
+            yield [str(i), (zero,), (one,), format_significant(_CTX.divide(zero, one), args.digits)]
+        yield ["avg", "", "", format_significant(_CTX.divide(total, n), args.digits)]
 
-    _emit(_table(["i", "zero_count", "one_count", "ratio"], rows, args.format))
+    widths = _weight_widths(header, n, head, args.digits) if args.format == "text" else None
+    _emit(_table(header, rows, args.format, widths=widths))
     return 0
+
+
+def _weight_widths(header: list[str], n: int, head: list[tuple], digits: int) -> list[int]:
+    """The text widths of weights, from its first two rows. A Fibonacci zero count
+    F(i+1)F(n-i+2) is an F(a)F(b) with a + b = n + 3, a one count F(i)F(n-i+1)
+    one with a + b = n + 1, and F(a)F(b) = (L(a+b) - (-1)^c L(|a-b|))/5 for
+    c = min(a, b). It is below L(a+b)/5 for even c, and for odd c largest at the
+    smallest c, where |a-b| is largest: row 2 for the zero counts (c = 3; at
+    n = 2 both rows are equal, at n = 1 there is one), row 1 for the one counts
+    (c = 1). Lucas counts are the same in every row. A 1 turned to 0 leaves a
+    word, so a ratio is at least 1, and F(k+1) <= 2F(k) keeps it at most 4: each
+    ratio, and their mean, renders digits + 1 wide, or 1 wide at one digit.
+    """
+    (_, _, one, _), (_, zero, _, _) = head[0], head[-1]
+    cells = [max(len("avg"), len(str(n))), zero.adjusted() + 1, one.adjusted() + 1, digits + (digits > 1)]
+    return list(map(max, map(len, header), cells))
 
 
 def _cmd_tree_check(args) -> int:
@@ -372,7 +393,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ecc-table", help="eccentricity sums and averages per dimension")
     p.add_argument("--kind", choices=("fib", "lucas"), required=True)
     # the cap bounds the output, which grows as n_max squared: at 20000 it is
-    # 419 MB of text (210 MB csv), written in ~1.9 s at 16 MB peak RSS
+    # 419 MB of text (210 MB csv), written in ~1.5 s at 16 MB peak RSS
     p.add_argument("--n-max", type=_int_in(1, 20000), required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against BFS and the series")
     _add_common(p, digits=True)

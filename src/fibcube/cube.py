@@ -25,7 +25,7 @@ from functools import reduce
 from operator import or_, xor
 from typing import NamedTuple
 
-from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, to_decimal
+from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, log2_binet, to_decimal
 from .words import BitWord, WordClass, enumerate_bits, is_fibonacci
 
 
@@ -352,27 +352,30 @@ def _ecc_sum(n: int, f0, f1, kind: WordClass):
 
 
 def count_rows(ks: range, kind: WordClass):
-    """Rows (vertices, edges, vertices as an int) for the dimensions in ks, from
-    one sweep of F(k), F(k+1) in exact integer Decimals and in ints (for log2_int),
-    stepped by F(k+s) = F(k)F(s-1) + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1)."""
+    """Rows (vertices, edges, log2_int(vertices)) for the dimensions in ks, from
+    one sweep of F(k), F(k+1) in exact integer Decimals and in ints (for the
+    logarithm, by log2_binet of F(k+2) or L(k)), stepped by
+    F(k+s) = F(k)F(s-1) + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1)."""
     _require_kind(kind)
     # only a step between two rows needs F(s): a one-row table skips it, however large s is
     a, b = fibonacci_pair(ks.step - 1) if len(ks) > 1 else (0, 1)  # F(s-1), F(s)
     ints = fibonacci_pair(ks.start) + (a, b, a + b)  # F(k), F(k+1), F(s-1), F(s), F(s+1)
     fs = [ints, tuple(map(Decimal, ints))]
+    lucas = kind is WordClass.LUCAS
     for k in ks:
         with localcontext(_EXACT):
             if k != ks.start:
                 fs = [(f0 * a + f1 * b, f0 * b + f1 * c, a, b, c) for f0, f1, a, b, c in fs]
             (f0, f1, *_), (d0, d1, *_) = fs  # ints, Decimals
-            row = _vertices(d0, d1, kind), _edges(k, d0, d1, kind), _vertices(f0, f1, kind)
-        yield row
+            row = _vertices(d0, d1, kind), _edges(k, d0, d1, kind)
+        yield *row, log2_binet(_vertices(f0, f1, kind), k if lucas else k + 2, lucas)
 
 
 def _ecc_row(n: int, f0, f1, kind: WordClass):
     """The row (n, vertices, edges, ecc_sum, (p, q), avg_ecc_over_n) from F(n), F(n+1)
     as exact integer Decimals, in the _EXACT context; p/q is the average
-    eccentricity in lowest terms.
+    eccentricity in lowest terms, and p, q are ecc_sum and vertices themselves
+    when g = 1.
 
     g = gcd(ecc_sum, vertices) divides a small m. Fibonacci: 5 ecc_sum =
     (3 - n)F(n) mod F(n+2), prime to F(n), so m = |n - 3|, or m = F(5) at
@@ -384,7 +387,8 @@ def _ecc_row(n: int, f0, f1, kind: WordClass):
     else:
         m = (-1) ** n * n * n + 5 * (n - n // 2) ** 2
     g = math.gcd(m, int(es % m), int(nv % m))
-    return n, nv, ne, es, (_exact_div(es, g), _exact_div(nv, g)), _CTX.divide(es, nv * n)
+    pq = (es, nv) if g == 1 else (_exact_div(es, g), _exact_div(nv, g))
+    return n, nv, ne, es, pq, _CTX.divide(es, nv * n)
 
 
 def ecc_rows(n_max: int, kind: WordClass):

@@ -68,11 +68,11 @@ class ExplicitGraph(NamedTuple("ExplicitGraph", [("vertices", tuple), ("edges", 
         return cls(tuple(g.words()), edges)
 
 
-def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal], nv_int: int | None = None) -> Decimal:
+def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal], *, log2_nv: Decimal | None = None) -> Decimal:
     """Average degree divided by log2 of the vertex count. It depends on the counts
     alone: of an ExplicitGraph, or a bare (vertices, edges) pair of ints or of exact
-    integer Decimals. For Decimals, ``nv_int``, the vertex count as an int, spares
-    converting it back; it is trusted to equal the count."""
+    integer Decimals. For Decimals, ``log2_nv``, log2_int of the vertex count, spares
+    converting the count back to an int; it is trusted to equal it."""
     if isinstance(graph, ExplicitGraph):
         nv, ne = graph.num_vertices, graph.num_edges
     else:
@@ -80,7 +80,7 @@ def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal], nv_int: int 
     if nv <= 1:
         raise ValueError("density undefined for graphs with fewer than two vertices")
     if isinstance(ne, Decimal):
-        log2_nv = log2_int(int(nv) if nv_int is None else nv_int)
+        log2_nv = log2_int(int(nv)) if log2_nv is None else log2_nv
         return _CTX.divide(_CTX.divide(_EXACT.multiply(2, ne), nv), log2_nv)
     return _CTX.divide(to_decimal(2 * ne, nv), log2_int(nv))
 
@@ -220,10 +220,10 @@ def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, .
         counts = ((*family.counts(k), None) for k in ks)
     rows = []
     prev_nv = 0
-    for k, (nv, ne, nv_int) in zip(ks, counts):
+    for k, (nv, ne, log2_nv) in zip(ks, counts):
         if nv <= prev_nv:
             raise ArithmeticError(f"family {family.name} is not increasing at k={k}")
         prev_nv = nv
-        rows.append(RhoRow(k, Decimal(nv), Decimal(ne), rho((nv, ne), nv_int)))
+        rows.append(RhoRow(k, Decimal(nv), Decimal(ne), rho((nv, ne), log2_nv=log2_nv)))
     return tuple(rows)
 

@@ -208,12 +208,29 @@ def test_weights_match_the_int_rendering(capsys, fmt, kind, n):
     assert out == _old_table(["i", "zero_count", "one_count", "ratio"], rows, fmt)
 
 
+@pytest.mark.parametrize("kind", ["fib", "lucas"])
+def test_weights_widths_from_the_first_rows_match_the_widest_cells(capsys, kind):
+    # the text takes its widths from the first two rows; _old_table from every row
+    k = _KINDS[kind]
+    header = ["i", "zero_count", "one_count", "ratio"]
+    for n in [*range(2 if kind == "lucas" else 1, 301), 3000, 10000]:
+        counts = [(cube.weight_count(n, i, 0, k), cube.weight_count(n, i, 1, k)) for i in range(1, n + 1)]
+        cells = [(str(i), str(w0), str(w1), to_decimal(w0, w1)) for i, (w0, w1) in enumerate(counts, 1)]
+        mean = cube.weight_ratio_average_decimal(n, k)
+        for digits in (1, 2, 12, 50):
+            rows = [[i, w0, w1, format_significant(ratio, digits)] for i, w0, w1, ratio in cells]
+            rows.append(["avg", "", "", format_significant(mean, digits)])
+            code, out = capture(capsys, ["weights", "--kind", kind, "--n", str(n), "--digits", str(digits)])
+            assert code == 0
+            assert out == _old_table(header, rows, "text"), (n, digits)
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 @pytest.mark.parametrize("digits", [12, 50])
 @pytest.mark.parametrize(
     "family, k, step",
     [("fib", 1, None), ("lucas", 2, None), ("fib", 3, 1), ("lucas", 300, None), ("fib", 1000, 7),
-     ("fib", 20000, None), ("lucas", 20000, None), ("lucas", 20000, 20000)],
+     ("fib", 20000, None), ("lucas", 20000, None), ("lucas", 20000, 20000), ("lucas", 2000, 1)],
 )
 def test_density_matches_the_int_rendering(capsys, fmt, digits, family, k, step):
     fam = {"fib": density.fibonacci_cube_family, "lucas": density.lucas_cube_family}[family]()
@@ -228,15 +245,15 @@ def test_density_matches_the_int_rendering(capsys, fmt, digits, family, k, step)
     assert out == _old_table(["k", "vertices", "edges", "rho"], rows, fmt)
 
 
-@pytest.mark.parametrize("fmt, sweeps", [("text", 2), ("csv", 1)])
-def test_weights_sweeps_once_per_table_pass(capsys, monkeypatch, fmt, sweeps):
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_weights_sweeps_once_per_table_pass(capsys, monkeypatch, fmt):
     calls = []
     sweep = cube.weight_rows
     monkeypatch.setattr(cube, "weight_rows", lambda n, kind: calls.append(n) or sweep(n, kind))
-    # the mean is summed in the first pass; test_weights_match_the_int_rendering checks the text
+    # the text takes its widths from the first two rows of the one sweep, which also sums the mean
     code, _ = capture(capsys, ["weights", "--kind", "fib", "--n", "9", "--format", fmt])
     assert code == 0
-    assert calls == [9] * sweeps
+    assert calls == [9]
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])

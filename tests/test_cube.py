@@ -244,6 +244,14 @@ def test_ecc_rows_reduce_by_the_full_gcd_to_3000(kind):
         assert (int(p) * g, int(q) * g) == (int(es), int(nv)), n
 
 
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_ecc_rows_pass_coprime_ecc_sum_and_vertices_through(kind):
+    # so the text of ecc-table renders p/q from the cells of ecc_sum and vertices
+    for n, nv, _, es, (p, q), _ in ecc_rows(3500, kind):
+        assert (p is es and q is nv) == (math.gcd(int(es), int(nv)) == 1), n
+        assert Fraction(int(p), int(q)) == Fraction(int(es), int(nv)), n
+
+
 def test_ecc_rows_at_the_special_moduli():
     assert list(ecc_rows(3, FIB))[2][4] == (12, 5)
     assert [row[4] for row in ecc_rows(2, LUC)] == [(0, 1), (5, 3)]

@@ -22,7 +22,7 @@ from fibcube.density import (
     subdivided_complete,
     subdivided_complete_family,
 )
-from fibcube.numeric import fibonacci, to_decimal
+from fibcube.numeric import fibonacci, log2_int, to_decimal
 from fibcube.words import BitWord, WordClass
 
 W = BitWord.from_string
@@ -251,6 +251,14 @@ def test_rho_of_a_cube_rows_counts_is_its_rho(make_family):
     for r in rho_limit(make_family(), 3000, 333):
         assert rho((r.num_vertices, r.num_edges)) == r.rho, r.k
         assert str(rho((int(r.num_vertices), int(r.num_edges)))) == str(r.rho), r.k
+
+
+def test_rho_takes_the_logarithm_by_keyword_only():
+    # a vertex count passed where the logarithm goes fails loudly, not as a wrong rho
+    nv, ne = Decimal(vertex_count(10, FIB)), Decimal(edge_count(10, FIB))
+    with pytest.raises(TypeError):
+        rho((nv, ne), vertex_count(10, FIB))
+    assert rho((nv, ne), log2_nv=log2_int(vertex_count(10, FIB))) == rho((nv, ne))
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibcube import numeric
 from fibcube.numeric import (
     DIGITS,
     decimal_context,
     fibonacci,
     fibonacci_pair,
     golden_ratio,
+    log2_binet,
     log2_int,
     lucas,
     sqrt5,
@@ -144,3 +146,24 @@ def test_log2_huge_argument_brackets_bit_length():
 def test_log2_rejects_non_positive():
     with pytest.raises(ValueError):
         log2_int(0)
+
+
+def test_log2_binet_is_log2_int_of_every_cube_vertex_count():
+    # F(k+2) and L(k) for k = 1..20000: the vertex counts of every density row
+    f0, f1 = 1, 1  # F(k), F(k+1)
+    for k in range(1, 20001):
+        fib, luc = f0 + f1, 2 * f1 - f0
+        assert str(log2_binet(fib, k + 2)) == str(log2_int(fib)), k
+        assert str(log2_binet(luc, k, lucas=True)) == str(log2_int(luc)), k
+        f0, f1 = f1, f0 + f1
+
+
+def test_log2_binet_near_a_midpoint_takes_log2_int(monkeypatch):
+    # a slack of one unit puts every sum near a midpoint, so each call falls back
+    calls = []
+    monkeypatch.setattr(numeric, "_BINET_SLACK", Decimal(1))
+    monkeypatch.setattr(numeric, "log2_int", lambda v: calls.append(v) or log2_int(v))
+    cases = [(fibonacci(j), j, False) for j in (170, 1002, 20002)] + [(lucas(j), j, True) for j in (170, 20000)]
+    for v, j, is_lucas in cases:
+        assert str(numeric.log2_binet(v, j, is_lucas)) == str(log2_int(v))
+    assert calls == [v for v, _, _ in cases]
