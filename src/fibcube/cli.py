@@ -308,11 +308,12 @@ def _cmd_density(args) -> int:
             brute = ((g.num_vertices, g.edge_count_brute()) for g in graphs)
         elif args.family == "power":
             limit, checkable = f"{_VERIFY_MAX_VERTICES} vertices", lambda k: family.counts(k)[0] <= _VERIFY_MAX_VERTICES
-            base = functools.cache(
-                lambda: density.ExplicitGraph.from_cube(cube.CubeGraph(WordClass.FIBONACCI, args.base_n))
-            )
-            graphs = (density.cartesian_power(base(), k) for k in ks)
-            brute = ((g.num_vertices, g.num_edges) for g in graphs)
+
+            def graphs():  # the base is built only once a row is checked
+                base = density.ExplicitGraph.from_cube(cube.CubeGraph(WordClass.FIBONACCI, args.base_n))
+                yield from density.cartesian_powers(base, ks)
+
+            brute = ((g.num_vertices, g.num_edges) for g in graphs())
         else:
             raise _UsageError(f"--verify has no independent route for family {args.family}")
         # the families increase, so the checkable rows lead the table: count them before building it

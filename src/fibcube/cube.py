@@ -11,8 +11,10 @@ blocks of the words) are separate routes that read no adjacency, and the
 test suite plays them against it.
 Both families are isometric subgraphs of the hypercube, so the Hamming
 route takes a vertex's eccentricity as the largest Hamming distance to
-a word of the class, found by a DP over the class's automaton in O(n)
-per vertex.
+a word of the class, found by a DP over the class's automaton. The DP
+reads a word from its last symbol, and the lexicographic recursion
+prepends symbols, so it runs one step per suffix for all vertices at once
+instead of n steps per vertex.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import Counter, deque
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import reduce
-from operator import or_, xor
+from operator import or_
 from typing import NamedTuple
 
 from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, log2_binet, to_decimal
@@ -118,7 +120,7 @@ class CubeGraph:
         if method == "bfs":
             return self._all_sources_bfs()
         if method == "hamming":
-            return [_farthest_word_distance(b, self.n, self.word_class) for b in self._bits]
+            return _farthest_word_distances(self.n, self.word_class)
         if method == "fast":
             if self.word_class is not WordClass.FIBONACCI:
                 raise ValueError("the fast route applies to Fibonacci cubes only")
@@ -128,23 +130,25 @@ class CubeGraph:
     def _all_sources_bfs(self) -> list[int]:
         """Every eccentricity by one level-synchronous multi-source BFS (Then et
         al., "The More the Merrier", PVLDB 2014): reach[v] is the bitset of the
-        sources within distance d of v, and a source that no vertex first
-        reaches at distance d + 1 has eccentricity d."""
+        vertices within distance d of v, so v's eccentricity is the first d at
+        which reach[v] holds every vertex. A full row stays full, so only the
+        rows still open are grown, each from its neighbours' rows of level d - 1."""
         if min(self.bfs_levels(0)) < 0:  # one BFS reaches every vertex of a connected graph
             raise ValueError("graph is not connected")
         adj = self._adjacency()
+        full = (1 << len(adj)) - 1
         reach = [1 << v for v in range(len(adj))]
         ecc = [0] * len(adj)
-        active = (1 << len(adj)) - 1  # sources whose farthest vertex is not yet found
+        open_rows = [v for v in range(len(adj)) if reach[v] != full]
         d = 0
-        while active:
-            nxt = [reduce(or_, map(reach.__getitem__, nbrs), r) for r, nbrs in zip(reach, adj)]
-            gained = reduce(or_, map(xor, nxt, reach), 0)  # nxt[v] holds reach[v], so xor is "and not"
-            done = active & ~gained
-            for s, bit in enumerate(bin(done)[:1:-1]):  # the bits of done, lowest first
-                if bit == "1":
-                    ecc[s] = d
-            active, reach, d = gained, nxt, d + 1
+        while open_rows:
+            d += 1
+            grown = [reduce(or_, map(reach.__getitem__, adj[v]), reach[v]) for v in open_rows]
+            for v, r in zip(open_rows, grown):
+                reach[v] = r
+                if r == full:
+                    ecc[v] = d
+            open_rows = [v for v in open_rows if ecc[v] == 0]
         return ecc
 
     def ecc_histogram(self, method: str = "bfs") -> EccHistogram:
@@ -174,6 +178,57 @@ def _farthest_word_distance(bits: int, n: int, kind: WordClass) -> int:
             d0, d1 = max(d0, d1) + x, d0 + 1 - x
         best = max(best, max(d0, d1) if fib else (d0, d1)[c])
     return best
+
+
+def _farthest_word_distances(n: int, kind: WordClass) -> list[int]:
+    """_farthest_word_distance of every word of the class, in lexicographic order.
+
+    The same DP, run once per suffix instead of once per word: read from the
+    last symbol, as the reference reads, the words of length m are 0.W_{m-1}
+    ++ 10.W_{m-2}, so the states of W_m are those of W_{m-1} stepped by 0,
+    then those of W_{m-2} stepped by 0 and 1. The Lucas words are 0.W_{n-1}
+    ++ 10.W_{n-3}.0, or 10 alone in place of the second part at n = 2. Each
+    level's d0 and d1 are bytes, offset by n + 1 so that the reference's
+    unreachable -n - 1 is 0; the largest score, n, is then 2n + 1, so n is at
+    most 127, far above any cube that can be enumerated.
+    """
+    if kind is WordClass.UNRESTRICTED:
+        return [n] * (1 << n)
+    if n > 127:
+        raise ValueError("the byte-offset scores hold n <= 127")
+    if kind is WordClass.LUCAS and n < 2:
+        return [0]  # the one word is 0s, and so is the one word it can be compared with
+    start, unreachable = bytes([n + 1]), b"\0"
+    if kind is WordClass.FIBONACCI:
+        ends = _word_states(n, (start, unreachable))  # d0 and d1
+    else:  # d_c of the run for each final bit c, started as if c stood before the first symbol read
+        ends = []
+        for c, init in enumerate(((start, unreachable), (unreachable, start))):
+            tails = init if n == 2 else _word_states(n - 3, _step(*init, 0))
+            ends.append(_grow(_word_states(n - 1, init), tails)[c])
+    return [e - n - 1 for e in map(max, *ends)]
+
+
+def _step(d0: bytes, d1: bytes, x: int) -> tuple[bytes, bytes]:
+    """One DP step of _farthest_word_distance on every state, reading the symbol x."""
+    top = bytes(map(max, d0, d1))
+    return (top.translate(_PLUS_ONE), d0) if x else (top, d0.translate(_PLUS_ONE))
+
+
+def _grow(longer: tuple[bytes, bytes], shorter: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
+    """The states of 0.u for each u read into ``longer``, then of 10.v for each v in ``shorter``."""
+    (a0, a1), (b0, b1) = _step(*longer, 0), _step(*_step(*shorter, 0), 1)
+    return a0 + b0, a1 + b1
+
+
+def _word_states(m: int, init: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
+    """The DP states from ``init`` after each word of W_m, in lexicographic order."""
+    if m == 0:
+        return init
+    shorter, longer = init, tuple(map(bytes.__add__, _step(*init, 0), _step(*init, 1)))  # W_0, W_1
+    for _ in range(m - 1):
+        shorter, longer = longer, _grow(longer, shorter)
+    return longer
 
 
 def eccentricity_fast(w: BitWord) -> int:

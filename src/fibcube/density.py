@@ -8,7 +8,9 @@ product machinery used to manufacture families with prescribed density.
 
 from __future__ import annotations
 
+import itertools
 from decimal import Context, Decimal, localcontext
+from operator import lt, xor
 from typing import Callable, NamedTuple
 
 from .cube import _EXACT, CubeGraph, count_rows, edge_count, vertex_count
@@ -31,26 +33,41 @@ class ExplicitGraph(NamedTuple("ExplicitGraph", [("vertices", tuple), ("edges", 
     def __new__(cls, vertices: tuple[BitWord, ...], edges: tuple[tuple[int, int], ...]) -> "ExplicitGraph":
         if not vertices:
             raise ValueError("a graph needs at least one vertex")
-        length = vertices[0].n
-        seen = set()
-        for w in vertices:
-            if w.n != length:
-                raise ValueError("vertex labels must share one length")
-            if w.bits in seen:
-                raise ValueError(f"duplicate vertex label {w!s}")
-            seen.add(w.bits)
-        edge_set = set()
-        for i, j in edges:
-            if not (0 <= i < j < len(vertices)):
-                raise ValueError(f"bad edge indices ({i}, {j})")
-            if (i, j) in edge_set:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            edge_set.add((i, j))
-            if (vertices[i].bits ^ vertices[j].bits).bit_count() != 1:
-                raise ValueError(
-                    f"edge {vertices[i]!s} -- {vertices[j]!s} "
-                    "does not flip exactly one position"
-                )
+        # the checks in bulk, for edges in increasing order (so none repeats), as from_cube
+        # and cartesian_product give them; else the ordered scan names the first defect
+        try:
+            bits = [w.bits for w in vertices]
+            heads, tails = zip(*edges) if edges else ((), ())
+            sound = (
+                len({w.n for w in vertices}) == 1
+                and len(set(bits)) == len(bits)
+                and set(map(len, edges)) <= {2}
+                and all(map(lt, edges, itertools.islice(edges, 1, None)))
+                and min(heads, default=0) >= 0
+                and max(tails, default=0) < len(bits)
+                and all(map(lt, heads, tails))
+                and set(map(int.bit_count, map(xor, map(bits.__getitem__, heads), map(bits.__getitem__, tails))))
+                <= {1}
+            )
+        except (AttributeError, TypeError, ValueError):  # malformed input: the scan reports it
+            sound = False
+        if not sound:  # one vertex and one edge at a time; edges out of order may still pass
+            seen = set()
+            for w in vertices:
+                if w.n != vertices[0].n:
+                    raise ValueError("vertex labels must share one length")
+                if w.bits in seen:
+                    raise ValueError(f"duplicate vertex label {w!s}")
+                seen.add(w.bits)
+            edge_set = set()
+            for i, j in edges:
+                if not (0 <= i < j < len(vertices)):
+                    raise ValueError(f"bad edge indices ({i}, {j})")
+                if (i, j) in edge_set:
+                    raise ValueError(f"duplicate edge ({i}, {j})")
+                edge_set.add((i, j))
+                if (vertices[i].bits ^ vertices[j].bits).bit_count() != 1:
+                    raise ValueError(f"edge {vertices[i]!s} -- {vertices[j]!s} does not flip exactly one position")
         return super().__new__(cls, vertices, edges)
 
     @property
@@ -123,14 +140,8 @@ def cartesian_product(g: ExplicitGraph, h: ExplicitGraph) -> ExplicitGraph:
     one factor. |V| and |E| obey |Vg||Vh| and |Vg||Eh| + |Vh||Eg|."""
     nh = h.num_vertices
     verts = tuple(u.concat(v) for u in g.vertices for v in h.vertices)
-    edges = []
-    for a, b in g.edges:
-        for iv in range(nh):
-            edges.append((a * nh + iv, b * nh + iv))
-    for iu in range(g.num_vertices):
-        base = iu * nh
-        for a, b in h.edges:
-            edges.append((base + a, base + b))
+    edges = [(a * nh + iv, b * nh + iv) for a, b in g.edges for iv in range(nh)]
+    edges += [(base + a, base + b) for base in range(0, len(verts), nh) for a, b in h.edges]
     edges.sort()
     return ExplicitGraph(verts, tuple(edges))
 
@@ -142,6 +153,16 @@ def cartesian_power(g: ExplicitGraph, k: int) -> ExplicitGraph:
     for _ in range(k - 1):
         out = cartesian_product(out, g)
     return out
+
+
+def cartesian_powers(g: ExplicitGraph, ks: range):
+    """cartesian_power(g, k) for each k in ks, a range with a positive step, lazily:
+    each power after the first is the one before times g^step, one product a row."""
+    if ks:
+        yield (power := cartesian_power(g, ks.start))
+        factor = cartesian_power(g, ks.step)
+        for _ in ks[1:]:
+            yield (power := cartesian_product(power, factor))
 
 
 class GraphFamily(NamedTuple):

@@ -130,6 +130,21 @@ def test_every_ecc_hist_route_at_the_bfs_cap_runs_in_bounded_memory(kind):
 @pytest.mark.parametrize(
     "argv, count",
     [
+        (["ecc-table", "--kind", "fib", "--n-max", "16", "--verify"], 17),
+        (["weights", "--kind", "fib", "--n", "16", "--verify"], 18),
+        # Q12, the largest explicit power under the 5000-vertex cap
+        (["density", "--family", "power", "--base-n", "1", "--k", "12", "--verify"], 13),
+    ],
+)
+def test_verify_at_its_caps_runs_in_bounded_memory(argv, count):
+    code, lines, maxrss_kb = _exit_lines_and_peak_kb(argv)
+    assert (code, lines) == (0, count)
+    assert maxrss_kb < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
         (["tree-print", "--n", "20"], fibonacci(21)),
         (["tree-print", "--n", "20", "--format", "csv"], fibonacci(21) + 1),
         (["tree-check", "--n", "16"], 1),
@@ -453,13 +468,43 @@ def test_ecc_hist_verify_builds_one_graph(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_density_power_verify_takes_one_product_a_row(capsys, monkeypatch):
+    made = []
+    product = density.cartesian_product
+    monkeypatch.setattr(density, "cartesian_product", lambda g, h: made.append(g.num_vertices) or product(g, h))
+    # rows k = 1..5 of 5**k vertices are checked: one product a row after the first
+    assert run(["density", "--family", "power", "--base-n", "3", "--k", "6", "--verify"]) == 0
+    assert made == [5, 25, 125, 625]
+    assert capsys.readouterr().err == "checked 5 of 6 rows; skipped 1 above 5000 vertices\n"
+
+
+def test_density_power_verify_at_a_step_checks_every_power(capsys, monkeypatch):
+    made = []
+    product = density.cartesian_product
+    monkeypatch.setattr(density, "cartesian_product", lambda g, h: made.append(p := product(g, h)) or p)
+    assert run(["density", "--family", "power", "--base-n", "2", "--k", "9", "--step", "2", "--verify"]) == 0
+    assert capsys.readouterr().err == "checked 4 of 5 rows; skipped 1 above 5000 vertices\n"
+    base = density.ExplicitGraph.from_cube(cube.CubeGraph(words.WordClass.FIBONACCI, 2))
+    # each checked row k = 1, 3, 5, 7 is built, as cartesian_power builds it, and none above
+    assert [g for g in made if g.num_vertices in (27, 243, 2187)] == [
+        density.cartesian_power(base, k) for k in (3, 5, 7)
+    ]
+    assert max(g.num_vertices for g in made) == 3**7
+    # a broken product is caught at the first row it builds
+    monkeypatch.setattr(density, "cartesian_product", lambda g, h: made.append(p := product(g, g)) or p)
+    assert run(["density", "--family", "power", "--base-n", "2", "--k", "9", "--step", "2", "--verify"]) == 2
+    assert capsys.readouterr().err.splitlines()[1] == (
+        "consistency failure at k=3: counts closed=(27, 54) brute=(9, 12)"
+    )
+
+
 def test_disagreeing_routes_are_reported(capsys, monkeypatch):
     assert _agree("n=3", "edges", brute=7, closed=7)
     assert capsys.readouterr().err == ""
     assert not _agree("n=3", "edges", brute=7, closed=8, gf=7)
     assert capsys.readouterr().err == "consistency failure at n=3: edges brute=7 closed=8 gf=7\n"
     # ecc-hist --verify lists every route, the Hamming route included
-    monkeypatch.setattr(cube, "_farthest_word_distance", lambda bits, n, kind: 0)
+    monkeypatch.setattr(cube, "_farthest_word_distances", lambda n, kind: [0] * cube.vertex_count(n, kind))
     assert run(["ecc-hist", "--kind", "lucas", "--n", "4", "--verify"]) == 2
     assert capsys.readouterr().err == (
         "consistency failure at n=4: histogram "

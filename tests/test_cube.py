@@ -3,7 +3,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibcube import cube
@@ -417,6 +417,15 @@ def test_hamming_route_matches_all_pairs_scan(kind, n):
     assert g.eccentricities("hamming") == scan
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([FIB, LUC, HYP]), st.integers(min_value=0, max_value=14))
+@example(LUC, 0)
+@example(LUC, 1)
+def test_hamming_table_matches_the_per_word_dp(kind, n):
+    table = cube._farthest_word_distances(n, kind)
+    assert table == [cube._farthest_word_distance(b, n, kind) for b in enumerate_bits(n, kind)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(st.sampled_from([FIB, LUC]), st.integers(0, 12)) | st.tuples(st.just(HYP), st.integers(0, 8)))
 def test_all_sources_sweep_matches_a_bfs_per_vertex(kind_n):
@@ -438,6 +447,8 @@ def test_hamming_route_degenerate_and_hypercube_cases():
     for n in range(0, 11):
         g = CubeGraph(HYP, n)
         assert g.eccentricities("hamming") == [n] * 2**n
+    with pytest.raises(ValueError, match="n <= 127"):  # the byte-offset scores would wrap
+        cube._farthest_word_distances(128, FIB)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibcube import cube
+from fibcube import cube, density
 from fibcube.cube import CubeGraph, edge_count, vertex_count, weight_ratio_average
 from fibcube.density import (
     ExplicitGraph,
     GraphFamily,
     cartesian_power,
+    cartesian_powers,
     cartesian_product,
     density_lemma_check,
     even_cycle_family,
@@ -161,6 +162,54 @@ def test_explicit_graph_validation():
         ExplicitGraph((W("00"), W("01")), ((1, 0),))
     with pytest.raises(ValueError):  # a copy with a field replaced is validated too
         ExplicitGraph((W("00"), W("01")), ((0, 1),))._replace(edges=((1, 0),))
+
+
+@pytest.mark.parametrize(
+    "labels, edges, message",
+    [
+        # each input carries two defects; the error names the first, in the ordered scan's order
+        (("0", "00", "00"), (), "vertex labels must share one length"),
+        (("0", "0", "00"), (), "duplicate vertex label 0"),
+        (("00", "01", "01", "00"), (), "duplicate vertex label 01"),
+        (("00", "01", "00"), ((0, 2),), "duplicate vertex label 00"),
+        (("00", "01", "11"), ((1, 0), (0, 5)), r"bad edge indices \(1, 0\)"),
+        (("00", "01", "11"), ((0, 1), (0, 7), (0, 2)), r"bad edge indices \(0, 7\)"),
+        (("00", "01", "11"), ((0, 1), (0, 1), (0, 2)), r"duplicate edge \(0, 1\)"),
+        (("00", "01", "11"), ((0, 2), (0, 1), (0, 1)), "edge 00 -- 11 does not flip exactly one position"),
+        (("00", "01", "10", "11"), ((0, 1), (1, 2), (9, 0)), "edge 01 -- 10 does not flip exactly one position"),
+    ],
+)
+def test_explicit_graph_names_the_first_defect(labels, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExplicitGraph(tuple(map(W, labels)), edges)
+
+
+def test_explicit_graph_accepts_what_the_ordered_checks_accept():
+    # edges as lists cannot be hashed in bulk; the ordered scan still accepts them
+    g = ExplicitGraph((W("00"), W("01"), W("10")), [[0, 1], [0, 2]])
+    assert (g.num_vertices, g.num_edges) == (3, 2)
+    with pytest.raises(ValueError, match="^too many values to unpack"):  # an edge of three indices
+        ExplicitGraph((W("00"), W("01"), W("10")), ((0, 1, 2), (0, 2)))
+
+
+@pytest.mark.parametrize(
+    "ks, products",
+    [
+        (range(1, 6), 4),  # one product a row after the first
+        (range(2, 8, 2), 4),  # g^2 for the first row, g^2 again for the step, then two rows
+        (range(1, 8, 3), 4),
+        (range(3, 4), 2),  # one row: no g^step
+        (range(4, 4), 0),
+    ],
+)
+def test_cartesian_powers_equal_cartesian_power_with_one_product_a_row(monkeypatch, ks, products):
+    made = []
+    monkeypatch.setattr(density, "cartesian_product", lambda g, h: made.append(1) or cartesian_product(g, h))
+    for base in (fib_graph(1), fib_graph(2), lucas_graph(3)):
+        made.clear()
+        powers = list(cartesian_powers(base, ks))
+        assert len(made) == products
+        assert powers == [cartesian_power(base, k) for k in ks]
 
 
 def test_even_cycles_bounded_degree():
