@@ -70,36 +70,31 @@ def _emit(lines: Iterable[str]) -> None:
     sys.stdout.writelines(line + "\n" for line in lines)
 
 
-def _cell_text(cell) -> str:
-    return cell if isinstance(cell, str) else "/".join(map(str, cell))
-
-
 def _cell_width(cell) -> int:
     # an exact integer Decimal d has d.adjusted() + 1 digits
-    return len(cell) if isinstance(cell, str) else sum(d.adjusted() + 2 for d in cell) - 1
+    return len(cell) if isinstance(cell, str) else cell.adjusted() + 1
 
 
 def _table(
-    header: list[str], rows: Callable, fmt: str, left: frozenset[int] = frozenset(), widths: list[int] | None = None
+    header: list[str], rows: Iterable[list], fmt: str, left: frozenset[int] = frozenset(), widths: list[int] | None = None
 ) -> Iterator[str]:
-    """The lines of a table. A cell is text, or a tuple of exact integer Decimals
-    joined by "/". Text pads each column to ``widths``; without them, a first
-    call of ``rows()`` finds the widest cell of each column, rendering no
-    Decimal, and a second renders the rows. csv, and text given its widths (as
-    ecc-table and weights give them), call ``rows()`` once.
+    """The lines of a table. A cell is text or an exact integer Decimal, rendered
+    by str. Text pads each column to ``widths``; without them, the rows are listed
+    once and the widest cell of each column found, rendering no Decimal. csv, and
+    text given its widths (as ecc-table and weights give them), stream the rows.
     """
     if fmt == "csv":
-        return itertools.chain([",".join(header)], (",".join(map(_cell_text, r)) for r in rows()))
+        return itertools.chain([",".join(header)], (",".join(map(str, r)) for r in rows))
     if widths is None:
+        rows = list(rows)
         widths = list(map(len, header))
-        for r in rows():
+        for r in rows:
             widths = list(map(max, widths, map(_cell_width, r)))
     return (
         "  ".join(
-            cell.ljust(w) if c in left else cell.rjust(w)
-            for c, (cell, w) in enumerate(zip(map(_cell_text, r), widths))
+            cell.ljust(w) if c in left else cell.rjust(w) for c, (cell, w) in enumerate(zip(map(str, r), widths))
         ).rstrip()
-        for r in itertools.chain([header], rows())
+        for r in itertools.chain([header], rows)
     )
 
 
@@ -121,14 +116,14 @@ def _cmd_enumerate(args) -> int:
 def _cmd_ecc_table(args) -> int:
     from . import cube
 
-    kind = _KINDS[args.kind]
+    kind, dims = _KINDS[args.kind], range(1, args.n_max + 1)
     if args.verify and args.n_max > _VERIFY_MAX_N:
         raise _UsageError(f"--verify enumerates every vertex; use --n-max <= {_VERIFY_MAX_N}")
     if args.verify:
         from . import series
 
         gf_sums = series.ecc_sum_from_gf(args.n_max, kind)
-        for n, nv, ne, es, _, _ in cube.ecc_rows(args.n_max, kind):
+        for n, nv, ne, es, _, _ in cube.ecc_rows(dims, kind):
             g = cube.CubeGraph(kind, n)
             brute_sum = sum(g.eccentricities("bfs"))
             if not (
@@ -147,8 +142,8 @@ def _cmd_ecc_table(args) -> int:
     header = ["n", "vertices", "edges", "ecc_sum", "avg_ecc", "avg_ecc_over_n"]
     widths = None
     if args.format == "text":
-        widths = _ecc_widths(header, map(cells, cube.ecc_rows_down(args.n_max, kind)), args.digits)
-    _emit(_table(header, lambda: map(cells, cube.ecc_rows(args.n_max, kind)), args.format, widths=widths))
+        widths = _ecc_widths(header, map(cells, cube.ecc_rows(range(args.n_max, 0, -1), kind)), args.digits)
+    _emit(_table(header, map(cells, cube.ecc_rows(dims, kind)), args.format, widths=widths))
     return 0
 
 
@@ -193,7 +188,7 @@ def _cmd_ecc_hist(args) -> int:
     hists = {r: (gf() if r == "gf" else graph().ecc_histogram(r)).counts for r in routes}
     if not _agree(f"n={n}", "histogram", **hists):
         return 2
-    _emit(_table(["k", "count"], lambda: ([str(k), str(c)] for k, c in hists[args.method].items()), args.format))
+    _emit(_table(["k", "count"], ([str(k), str(c)] for k, c in hists[args.method].items()), args.format))
     return 0
 
 
@@ -216,11 +211,11 @@ def _cmd_weights(args) -> int:
 
     def rows():
         for i, zero, one, total in itertools.chain(head, sums):
-            yield [str(i), (zero,), (one,), format_significant(_CTX.divide(zero, one), args.digits)]
+            yield [str(i), zero, one, format_significant(_CTX.divide(zero, one), args.digits)]
         yield ["avg", "", "", format_significant(_CTX.divide(total, n), args.digits)]
 
     widths = _weight_widths(header, n, head, args.digits) if args.format == "text" else None
-    _emit(_table(header, rows, args.format, widths=widths))
+    _emit(_table(header, rows(), args.format, widths=widths))
     return 0
 
 
@@ -260,7 +255,7 @@ def _cmd_tree_print(args) -> int:
 
     tree = fibtree.build(args.n, fibtree.LabelingKind(args.labeling))
     if args.format == "csv":
-        _emit(_table(["depth", "label"], lambda: ([str(d), str(label)] for label, d in tree.leaves()), "csv"))
+        _emit(_table(["depth", "label"], ([str(d), str(label)] for label, d in tree.leaves()), "csv"))
     else:
         _emit([tree.render()])
     return 0
@@ -273,7 +268,7 @@ def _fib_powers(density, base_n: int | None):
         raise _UsageError("--family power needs --base-n")
     nv = cube.vertex_count(base_n, WordClass.FIBONACCI)
     ne = cube.edge_count(base_n, WordClass.FIBONACCI)
-    return density.power_family(nv, ne, name=f"fib-{base_n}-powers")
+    return density.power_family(nv, ne)
 
 
 # --family -> (family from the density module and --base-n, cap on --k); the cube caps
@@ -326,8 +321,8 @@ def _cmd_density(args) -> int:
         for r, counts in zip(table[:checked], brute):
             if not _agree(f"k={r.k}", "counts", closed=(int(r.num_vertices), int(r.num_edges)), brute=counts):
                 return 2
-    rows = [[str(r.k), (r.num_vertices,), (r.num_edges,), format_significant(r.rho, args.digits)] for r in table]
-    _emit(_table(["k", "vertices", "edges", "rho"], lambda: rows, args.format))
+    rows = ([str(r.k), r.num_vertices, r.num_edges, format_significant(r.rho, args.digits)] for r in table)
+    _emit(_table(["k", "vertices", "edges", "rho"], rows, args.format))
     return 0
 
 
@@ -356,7 +351,7 @@ def _cmd_limits(args) -> int:
             with localcontext(_CTX):
                 err = abs(value - limit)
             rows.append([f"{name}-{kind}", *(format_significant(v, args.digits) for v in (limit, value, err))])
-    _emit(_table(["name", "limit", "value", "abs_error"], lambda: rows, args.format, left=frozenset({0})))
+    _emit(_table(["name", "limit", "value", "abs_error"], rows, args.format, left=frozenset({0})))
     return 0
 
 

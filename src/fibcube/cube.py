@@ -240,19 +240,10 @@ def eccentricity_fast(w: BitWord) -> int:
     """
     if not is_fibonacci(w):
         raise ValueError(f"{w!s} has adjacent 1s")
-    return _stripped_ecc(w.n, w.bits)
-
-
-def _stripped_ecc(n: int, bits: int) -> int:
-    steps = 0
+    n, bits, steps = w.n, w.bits, 0
     while n > 1:
-        if bits & 3 == 0:
-            n -= 2
-            bits >>= 2
-        else:
-            n -= 1
-            bits >>= 1
-        steps += 1
+        strip = 2 if bits & 3 == 0 else 1
+        n, bits, steps = n - strip, bits >> strip, steps + 1
     return steps + n
 
 
@@ -267,7 +258,7 @@ def _fast_eccentricities(n: int) -> bytes:
     start 00 come first. Stripping from the front (both symbols of a
     leading 00, one symbol otherwise) adds 1 per strip, so
     E_n = 1 + (E_{n-2} ++ E_{n-1}[F(n):] ++ E_{n-1}[:F(n)]). Stripping from
-    the back, as _stripped_ecc does, gives the same values: both equal n
+    the back, as eccentricity_fast does, gives the same values: both equal n
     minus the sum of floor(r/2) over the maximal runs of r 0s, which
     reversal keeps. E_{-1} = [0] lets the rule give E_1 = [1, 1] from E_0 = [0].
     """
@@ -407,23 +398,21 @@ def _ecc_sum(n: int, f0, f1, kind: WordClass):
 
 
 def count_rows(ks: range, kind: WordClass):
-    """Rows (vertices, edges, log2_int(vertices)) for the dimensions in ks, from
-    one sweep of F(k), F(k+1) in exact integer Decimals and in ints (for the
-    logarithm, by log2_binet of F(k+2) or L(k)), stepped by
-    F(k+s) = F(k)F(s-1) + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1)."""
+    """Rows (vertices, edges, log2_int(vertices)) for the dimensions in ks, a range with
+    a positive step, from one sweep of F(k), F(k+1) in exact integer Decimals stepped by
+    F(k+s) = F(k)F(s-1) + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1). The logarithm
+    is log2_binet of F(k+2) or L(k): it reads the count only where it falls back."""
     _require_kind(kind)
     # only a step between two rows needs F(s): a one-row table skips it, however large s is
     a, b = fibonacci_pair(ks.step - 1) if len(ks) > 1 else (0, 1)  # F(s-1), F(s)
-    ints = fibonacci_pair(ks.start) + (a, b, a + b)  # F(k), F(k+1), F(s-1), F(s), F(s+1)
-    fs = [ints, tuple(map(Decimal, ints))]
+    f0, f1, a, b, c = map(Decimal, fibonacci_pair(ks.start) + (a, b, a + b))  # F(k), F(k+1), F(s-1), F(s), F(s+1)
     lucas = kind is WordClass.LUCAS
     for k in ks:
         with localcontext(_EXACT):
             if k != ks.start:
-                fs = [(f0 * a + f1 * b, f0 * b + f1 * c, a, b, c) for f0, f1, a, b, c in fs]
-            (f0, f1, *_), (d0, d1, *_) = fs  # ints, Decimals
-            row = _vertices(d0, d1, kind), _edges(k, d0, d1, kind)
-        yield *row, log2_binet(_vertices(f0, f1, kind), k if lucas else k + 2, lucas)
+                f0, f1 = f0 * a + f1 * b, f0 * b + f1 * c
+            nv, ne = _vertices(f0, f1, kind), _edges(k, f0, f1, kind)
+        yield nv, ne, log2_binet(nv, k if lucas else k + 2, lucas)
 
 
 def _ecc_row(n: int, f0, f1, kind: WordClass):
@@ -446,28 +435,19 @@ def _ecc_row(n: int, f0, f1, kind: WordClass):
     return n, nv, ne, es, pq, _CTX.divide(es, nv * n)
 
 
-def ecc_rows(n_max: int, kind: WordClass):
-    """The rows of _ecc_row for n = 1..n_max, from one sweep of (F(n), F(n+1)):
-    exact integer Decimals by the closed forms that vertex_count, edge_count and
-    ecc_sum_closed evaluate per dimension."""
+def ecc_rows(ns: range, kind: WordClass):
+    """The rows of _ecc_row for the dimensions n >= 1 in ns, a range of step 1 or
+    -1, from one fibonacci_pair(ns.start) stepped up by F(n+2) = F(n) + F(n+1) or
+    down by F(n-1) = F(n+1) - F(n): exact integer Decimals by the closed forms that
+    vertex_count, edge_count and ecc_sum_closed evaluate per dimension."""
     _require_kind(kind)
-    f0 = f1 = Decimal(1)  # F(n), F(n+1)
-    for n in range(1, n_max + 1):
+    if ns.step not in (1, -1) or 0 in ns:  # a negative index is refused by fibonacci_pair
+        raise ValueError("ecc_rows steps by 1 or -1 through dimensions n >= 1")
+    f0, f1 = map(Decimal, fibonacci_pair(ns.start))  # F(n), F(n+1)
+    for n in ns:
         with localcontext(_EXACT):
             row = _ecc_row(n, f0, f1, kind)
-            f0, f1 = f1, f0 + f1
-        yield row
-
-
-def ecc_rows_down(n_max: int, kind: WordClass):
-    """The rows of ecc_rows in reverse, n = n_max..1, stepped down from one
-    fibonacci_pair(n_max) by F(n-1) = F(n+1) - F(n)."""
-    _require_kind(kind)
-    f0, f1 = map(Decimal, fibonacci_pair(n_max))
-    for n in range(n_max, 0, -1):
-        with localcontext(_EXACT):
-            row = _ecc_row(n, f0, f1, kind)
-            f0, f1 = f1 - f0, f0
+            f0, f1 = (f1, f0 + f1) if ns.step == 1 else (f1 - f0, f0)
         yield row
 
 

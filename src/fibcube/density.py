@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from decimal import Context, Decimal, localcontext
+from functools import reduce
 from operator import lt, xor
 from typing import Callable, NamedTuple
 
@@ -31,6 +32,10 @@ class ExplicitGraph(NamedTuple("ExplicitGraph", [("vertices", tuple), ("edges", 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, vertices: tuple[BitWord, ...], edges: tuple[tuple[int, int], ...]) -> "ExplicitGraph":
+        # tuples before any check, so the record holds what was checked and hashes; tuples pass uncopied
+        vertices = tuple(vertices)
+        if not (isinstance(edges, tuple) and all(map(isinstance, edges, itertools.repeat(tuple)))):
+            edges = tuple(map(tuple, edges))
         if not vertices:
             raise ValueError("a graph needs at least one vertex")
         # the checks in bulk, for edges in increasing order (so none repeats), as from_cube
@@ -149,10 +154,7 @@ def cartesian_product(g: ExplicitGraph, h: ExplicitGraph) -> ExplicitGraph:
 def cartesian_power(g: ExplicitGraph, k: int) -> ExplicitGraph:
     if k < 1:
         raise ValueError("need k >= 1")
-    out = g
-    for _ in range(k - 1):
-        out = cartesian_product(out, g)
-    return out
+    return reduce(cartesian_product, itertools.repeat(g, k - 1), g)
 
 
 def cartesian_powers(g: ExplicitGraph, ks: range):
@@ -200,15 +202,11 @@ def even_cycle_family() -> GraphFamily:
     return GraphFamily("even-cycles", 2, lambda k: (2 * k, 2 * k))
 
 
-def power_family(base_vertices: int, base_edges: int, name: str = "powers") -> GraphFamily:
+def power_family(base_vertices: int, base_edges: int) -> GraphFamily:
     """Cartesian powers of a fixed base graph, by counts alone."""
     if base_vertices < 2:
         raise ValueError("the base graph needs at least two vertices")
-    return GraphFamily(
-        name,
-        1,
-        lambda k: (base_vertices**k, k * base_vertices ** (k - 1) * base_edges),
-    )
+    return GraphFamily("powers", 1, lambda k: (base_vertices**k, k * base_vertices ** (k - 1) * base_edges))
 
 
 class RhoRow(NamedTuple):

@@ -98,10 +98,11 @@ def log2_int(v: int) -> Decimal:
         return shift + Decimal(v >> shift).ln() / _LN2
 
 
-# log2_binet sums in _BINET_CTX, and leaves to log2_int a sum within
-# _BINET_SLACK units in the last place of a rounding midpoint.
+# log2_binet sums in _BINET_CTX, and leaves to log2_int a sum within _BINET_SLACK
+# units in the last place of a rounding midpoint, or a log2 v within _BINET_EDGE of an integer.
 _BINET_CTX = Context(prec=70)
 _BINET_SLACK = Decimal("1e-6")
+_BINET_EDGE = Decimal("1e-30")
 
 
 @functools.cache
@@ -112,31 +113,31 @@ def _binet_logs() -> tuple[Decimal, Decimal, Decimal]:
     return wide.ln(wide.divide(wide.add(1, s5), 2)), wide.ln(s5), wide.ln(2)
 
 
-def log2_binet(v: int, j: int, lucas: bool = False) -> Decimal:
-    """log2_int(v) for v = F(j), or v = L(j) when ``lucas``, without Decimal.ln.
+def log2_binet(v: int | Decimal, j: int, lucas: bool = False) -> Decimal:
+    """log2_int(v) for v = F(j), or v = L(j) when ``lucas``, from j alone.
 
-    log2_int rounds ln m, of the mantissa m = v >> s, to DIGITS digits. Binet
-    gives ln v = j ln phi [- ln sqrt 5] + ln(1 +- phi^(-2j)), and the remainder
-    r = v - (m << s) gives ln m = ln v - s ln 2 + ln(1 - r/v). From j = 170,
-    phi^(-2j) < 1e-70; r/v < 2^-191, so (r/v)^2 < 1e-114; and r/v, taken from
-    the top bits of v, is off by under 2^-255. So the 70-digit sum
-    j ln phi [- ln sqrt 5] - s ln 2 - r/v is off ln m by a few units in its
-    70th digit, about 1e-19 units in the 50th. Unless it lies within
-    _BINET_SLACK units of a midpoint, it rounds to DIGITS digits as ln m does,
-    to the correctly rounded Decimal.ln(m) of log2_int. Near a midpoint, and
-    below j = 170, this returns log2_int(v) itself.
+    log2_int rounds ln m to DIGITS digits, for the mantissa m = v >> s and s the
+    bit length of v less _LOG_MANTISSA_BITS, or 0. From j = 170, Binet's
+    ln v = j ln phi [- ln sqrt 5] + ln(1 +- phi^(-2j)) has phi^(-2j) < 1e-70, so
+    the 70-digit ln v is off by a few units in its 70th digit, and the integer
+    part of ln v / ln 2 is the bit length of v less 1 unless the quotient lies
+    within _BINET_EDGE of an integer. ln m = ln v - s ln 2 + ln(1 - r/v) for
+    r = v - (m << s) < 2^-191 v: dropping that term moves ln m by about 3e-11
+    units in its 50th digit. So unless ln v - s ln 2 lies within _BINET_SLACK
+    units of a midpoint, it rounds to the correctly rounded Decimal.ln(m) of
+    log2_int. Otherwise, and below j = 170, this returns log2_int(int(v)): only
+    then is v, an int or an exact integer Decimal, read.
     """
-    if j < 170:
-        return log2_int(v)
-    ln_phi, ln_sqrt5, ln2 = _binet_logs()
-    shift = max(0, v.bit_length() - _LOG_MANTISSA_BITS)
-    t = max(0, shift - 64)
-    top = v >> t  # m, then the top shift - t bits of r
-    with localcontext(_BINET_CTX):
-        ln_m = j * ln_phi - shift * ln2 - Decimal(top & (1 << shift - t) - 1) / top
-        if not lucas:
-            ln_m -= ln_sqrt5
-        if abs(ln_m.scaleb(DIGITS - 1 - ln_m.adjusted()) % 1 - Decimal("0.5")) < _BINET_SLACK:
-            return log2_int(v)
-    with localcontext(_CTX):
-        return shift + (+ln_m) / _LN2
+    if j >= 170:
+        ln_phi, ln_sqrt5, ln2 = _binet_logs()
+        with localcontext(_BINET_CTX):
+            ln_v = j * ln_phi if lucas else j * ln_phi - ln_sqrt5
+            bits, frac = divmod(ln_v / ln2, 1)  # the bit length of v less 1, unless frac is near 0 or 1
+            shift = max(0, int(bits) + 1 - _LOG_MANTISSA_BITS)
+            ln_m = ln_v - shift * ln2
+            to_edge = min(frac, 1 - frac)
+            to_midpoint = abs(ln_m.scaleb(DIGITS - 1 - ln_m.adjusted()) % 1 - Decimal("0.5"))
+        if to_edge >= _BINET_EDGE and to_midpoint >= _BINET_SLACK:
+            with localcontext(_CTX):
+                return shift + (+ln_m) / _LN2
+    return log2_int(int(v))

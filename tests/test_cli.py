@@ -275,13 +275,18 @@ def test_weights_sweeps_once_per_table_pass(capsys, monkeypatch, fmt):
 @pytest.mark.parametrize("n_max", [1, 14, 3500, 20000])
 def test_ecc_table_sweeps_once_and_walks_back_a_few_rows(capsys, monkeypatch, fmt, n_max):
     calls, walked = [], []
-    walk = cube.ecc_rows_down
-    # the forward sweep yields no row here, so only its calls and the walk's rows are counted
-    monkeypatch.setattr(cube, "ecc_rows", lambda n, kind: calls.append(n) or iter(()))
-    monkeypatch.setattr(cube, "ecc_rows_down", lambda n, kind: (walked.append(r[0]) or r for r in walk(n, kind)))
+    rows = cube.ecc_rows
+
+    def sweep_or_walk(ns, kind):
+        # the forward sweep yields no row here, so only its calls and the walk's rows are counted
+        if ns.step == 1:
+            return calls.append(ns) or iter(())
+        return (walked.append(r[0]) or r for r in rows(ns, kind))
+
+    monkeypatch.setattr(cube, "ecc_rows", sweep_or_walk)
     code, _ = capture(capsys, ["ecc-table", "--kind", "fib", "--n-max", str(n_max), "--format", fmt])
     assert code == 0
-    assert calls == [n_max]
+    assert calls == [range(1, n_max + 1)]
     assert walked == list(range(n_max, n_max - len(walked), -1))
     assert 1 <= len(walked) <= 50 if fmt == "text" else walked == []
 

@@ -12,8 +12,8 @@ from fibcube.cube import (
     average_degree,
     average_ecc,
     average_ecc_over_n,
+    count_rows,
     ecc_rows,
-    ecc_rows_down,
     ecc_sum_closed,
     eccentricity_fast,
     edge_count,
@@ -25,7 +25,7 @@ from fibcube.cube import (
     weight_rows,
 )
 from fibcube.density import density_lemma_check
-from fibcube.numeric import DIGITS, fibonacci, lucas, to_decimal
+from fibcube.numeric import DIGITS, fibonacci, log2_int, lucas, to_decimal
 from fibcube.words import BitWord, WordClass, enumerate_bits
 
 W = BitWord.from_string
@@ -226,7 +226,7 @@ def test_weight_ratio_decimal_agrees_with_exact():
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([FIB, LUC]), st.integers(min_value=1, max_value=400))
 def test_ecc_rows_match_the_int_closed_forms(kind, n_max):
-    rows = list(ecc_rows(n_max, kind))
+    rows = list(ecc_rows(range(1, n_max + 1), kind))
     assert [row[0] for row in rows] == list(range(1, n_max + 1))
     for n, nv, ne, es, (p, q), over_n in rows:
         counts = (vertex_count(n, kind), edge_count(n, kind), ecc_sum_closed(n, kind))
@@ -239,7 +239,7 @@ def test_ecc_rows_match_the_int_closed_forms(kind, n_max):
 @pytest.mark.parametrize("kind", [FIB, LUC])
 def test_ecc_rows_reduce_by_the_full_gcd_to_3000(kind):
     # the sweep takes the gcd modulo a small m, which is F(5) at Fibonacci n = 3
-    for n, nv, _, es, (p, q), _ in ecc_rows(3000, kind):
+    for n, nv, _, es, (p, q), _ in ecc_rows(range(1, 3001), kind):
         g = math.gcd(int(es), int(nv))
         assert (int(p) * g, int(q) * g) == (int(es), int(nv)), n
 
@@ -247,26 +247,48 @@ def test_ecc_rows_reduce_by_the_full_gcd_to_3000(kind):
 @pytest.mark.parametrize("kind", [FIB, LUC])
 def test_ecc_rows_pass_coprime_ecc_sum_and_vertices_through(kind):
     # so the text of ecc-table renders p/q from the cells of ecc_sum and vertices
-    for n, nv, _, es, (p, q), _ in ecc_rows(3500, kind):
+    for n, nv, _, es, (p, q), _ in ecc_rows(range(1, 3501), kind):
         assert (p is es and q is nv) == (math.gcd(int(es), int(nv)) == 1), n
         assert Fraction(int(p), int(q)) == Fraction(int(es), int(nv)), n
 
 
 def test_ecc_rows_at_the_special_moduli():
-    assert list(ecc_rows(3, FIB))[2][4] == (12, 5)
-    assert [row[4] for row in ecc_rows(2, LUC)] == [(0, 1), (5, 3)]
+    assert list(ecc_rows(range(1, 4), FIB))[2][4] == (12, 5)
+    assert [row[4] for row in ecc_rows(range(1, 3), LUC)] == [(0, 1), (5, 3)]
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
 def test_ecc_rows_down_are_ecc_rows_reversed(kind):
     for n_max in [*range(1, 41), 3500]:
-        assert list(ecc_rows_down(n_max, kind)) == list(ecc_rows(n_max, kind))[::-1], n_max
+        assert list(ecc_rows(range(n_max, 0, -1), kind)) == list(ecc_rows(range(1, n_max + 1), kind))[::-1], n_max
+
+
+@pytest.mark.parametrize("dims", [range(1, 10, 2), range(9, 0, -2), range(0, 3), range(3, -1, -1), range(-2, 3)])
+def test_ecc_rows_step_the_dimension_by_one_through_positive_dimensions(dims):
+    with pytest.raises(ValueError):
+        next(ecc_rows(dims, FIB))
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+@pytest.mark.parametrize(
+    "ks",
+    # across index 170, where the logarithm leaves log2_int for Binet's formula;
+    # one row with a step too large to evaluate F(step)
+    [range(1, 400), range(2, 3000, 7), range(160, 2600, 123), range(5000, 5001), range(20000, 20001, 10**12)],
+)
+def test_count_rows_match_the_int_closed_forms(kind, ks):
+    rows = list(count_rows(ks, kind))
+    assert len(rows) == len(ks)
+    for k, (nv, ne, log2_nv) in zip(ks, rows):
+        assert type(nv) is Decimal and type(ne) is Decimal, k
+        v = vertex_count(k, kind)
+        assert (str(nv), str(ne), str(log2_nv)) == (str(v), str(edge_count(k, kind)), str(log2_int(v))), k
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
 def test_ecc_rows_bound_the_table_widths_to_3500(kind):
     # what lets ecc-table take its text widths from its last rows
-    rows = list(ecc_rows(3500, kind))
+    rows = list(ecc_rows(range(1, 3501), kind))
     for (_, *low), (_, *high) in zip(rows, rows[1:]):
         assert all(a <= b for a, b in zip(low[:3], high[:3]))  # vertices, edges, ecc_sum
     for n, nv, _, es, _, over_n in rows[1:]:

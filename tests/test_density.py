@@ -192,6 +192,24 @@ def test_explicit_graph_accepts_what_the_ordered_checks_accept():
         ExplicitGraph((W("00"), W("01"), W("10")), ((0, 1, 2), (0, 2)))
 
 
+def test_explicit_graph_checks_an_edge_iterator_it_stores():
+    # the bulk check would use the iterator up and leave the scan no edge to check
+    with pytest.raises(ValueError, match="^edge 00 -- 11 does not flip exactly one position$"):
+        ExplicitGraph(tuple(map(W, ("00", "01", "11"))), iter([(0, 2)]))
+    g = ExplicitGraph(iter(map(W, ("00", "01", "11"))), iter([(0, 1), (1, 2)]))
+    assert g == ((W("00"), W("01"), W("11")), ((0, 1), (1, 2)))
+    assert g.num_edges == 2
+
+
+def test_explicit_graph_from_lists_hashes_like_a_tuple():
+    g = ExplicitGraph([W("00"), W("01"), W("10")], [[0, 1], [0, 2]])
+    plain = ((W("00"), W("01"), W("10")), ((0, 1), (0, 2)))
+    assert g == plain and hash(g) == hash(plain)
+    # tuples of tuples are stored as given
+    vertices, edges = plain
+    assert ExplicitGraph(vertices, edges).vertices is vertices and ExplicitGraph(vertices, edges).edges is edges
+
+
 @pytest.mark.parametrize(
     "ks, products",
     [

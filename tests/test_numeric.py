@@ -149,12 +149,14 @@ def test_log2_rejects_non_positive():
 
 
 def test_log2_binet_is_log2_int_of_every_cube_vertex_count():
-    # F(k+2) and L(k) for k = 1..20000: the vertex counts of every density row
+    # F(k+2) and L(k) for k = 1..20000: the vertex counts of every density row,
+    # as ints and as the exact integer Decimals that count_rows passes
     f0, f1 = 1, 1  # F(k), F(k+1)
     for k in range(1, 20001):
         fib, luc = f0 + f1, 2 * f1 - f0
-        assert str(log2_binet(fib, k + 2)) == str(log2_int(fib)), k
-        assert str(log2_binet(luc, k, lucas=True)) == str(log2_int(luc)), k
+        fib_text, luc_text = str(log2_int(fib)), str(log2_int(luc))
+        assert str(log2_binet(fib, k + 2)) == str(log2_binet(Decimal(fib), k + 2)) == fib_text, k
+        assert str(log2_binet(luc, k, lucas=True)) == str(log2_binet(Decimal(luc), k, lucas=True)) == luc_text, k
         f0, f1 = f1, f0 + f1
 
 
@@ -167,3 +169,16 @@ def test_log2_binet_near_a_midpoint_takes_log2_int(monkeypatch):
     for v, j, is_lucas in cases:
         assert str(numeric.log2_binet(v, j, is_lucas)) == str(log2_int(v))
     assert calls == [v for v, _, _ in cases]
+
+
+def test_log2_binet_near_an_integer_log2_takes_log2_int(monkeypatch):
+    # an edge of one puts every log2 v near an integer, so each call falls back,
+    # whether the count comes as an int or as an exact integer Decimal
+    calls = []
+    monkeypatch.setattr(numeric, "_BINET_EDGE", Decimal(1))
+    monkeypatch.setattr(numeric, "log2_int", lambda v: calls.append(v) or log2_int(v))
+    cases = [(fibonacci(j), j, False) for j in (170, 1002, 20002)] + [(lucas(j), j, True) for j in (170, 20000)]
+    for v, j, is_lucas in cases:
+        as_int, as_decimal = numeric.log2_binet(v, j, is_lucas), numeric.log2_binet(Decimal(v), j, is_lucas)
+        assert str(as_int) == str(as_decimal) == str(log2_int(v))
+    assert calls == [v for v, _, _ in cases for _ in range(2)]
