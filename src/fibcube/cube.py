@@ -287,7 +287,7 @@ def vertex_count(n: int, kind: WordClass) -> int:
     _require_dimension(n)
     if kind is WordClass.UNRESTRICTED:
         return 1 << n
-    return _vertices(*fibonacci_pair(n), kind) if n or kind is WordClass.FIBONACCI else 1
+    return _vertices(n, *fibonacci_pair(n), kind)
 
 
 def ecc_sum_closed(n: int, kind: WordClass) -> int:
@@ -380,9 +380,9 @@ def _exact_div(a: int | Decimal, d: int) -> int | Decimal:
 
 # The closed forms, from n and (F(n), F(n+1)) as ints or as exact integer
 # Decimals; on Decimals they are evaluated in the _EXACT context.
-def _vertices(f0, f1, kind: WordClass):
-    """F(n+2) or L(n); vertex_count gives the length-0 Lucas cube its one vertex."""
-    return f0 + f1 if kind is WordClass.FIBONACCI else 2 * f1 - f0
+def _vertices(n: int, f0, f1, kind: WordClass):
+    """F(n+2), or L(n) for n >= 1; the length-0 Lucas cube has one vertex, F(1)."""
+    return f0 + f1 if kind is WordClass.FIBONACCI else 2 * f1 - f0 if n else f1
 
 
 def _edges(n: int, f0, f1, kind: WordClass):
@@ -411,7 +411,7 @@ def count_rows(ks: range, kind: WordClass):
         with localcontext(_EXACT):
             if k != ks.start:
                 f0, f1 = f0 * a + f1 * b, f0 * b + f1 * c
-            nv, ne = _vertices(f0, f1, kind), _edges(k, f0, f1, kind)
+            nv, ne = _vertices(k, f0, f1, kind), _edges(k, f0, f1, kind)
         yield nv, ne, log2_binet(nv, k if lucas else k + 2, lucas)
 
 
@@ -425,7 +425,7 @@ def _ecc_row(n: int, f0, f1, kind: WordClass):
     (3 - n)F(n) mod F(n+2), prime to F(n), so m = |n - 3|, or m = F(5) at
     n = 3. Lucas: ecc_sum = c - nF(n-1) mod L(n), c = (-1)^n (n - n//2), and
     -5F(n-1)^2 = (-1)^n, so m = (-1)^n n^2 + 5c^2."""
-    nv, ne, es = _vertices(f0, f1, kind), _edges(n, f0, f1, kind), _ecc_sum(n, f0, f1, kind)
+    nv, ne, es = _vertices(n, f0, f1, kind), _edges(n, f0, f1, kind), _ecc_sum(n, f0, f1, kind)
     if kind is WordClass.FIBONACCI:
         m = abs(n - 3) or int(nv)
     else:

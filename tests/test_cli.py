@@ -483,6 +483,16 @@ def test_density_power_verify_takes_one_product_a_row(capsys, monkeypatch):
     assert capsys.readouterr().err == "checked 5 of 6 rows; skipped 1 above 5000 vertices\n"
 
 
+def test_density_power_verify_builds_its_graphs_without_the_check(capsys, monkeypatch):
+    # the base cube and its products are valid by construction, so none enters ExplicitGraph.__new__
+    def refuse(cls, *fields):
+        raise AssertionError("a graph the package built was checked again")
+
+    monkeypatch.setattr(density.ExplicitGraph, "__new__", refuse)
+    assert run(["density", "--family", "power", "--base-n", "3", "--k", "6", "--verify"]) == 0
+    assert capsys.readouterr().err == "checked 5 of 6 rows; skipped 1 above 5000 vertices\n"
+
+
 def test_density_power_verify_at_a_step_checks_every_power(capsys, monkeypatch):
     made = []
     product = density.cartesian_product

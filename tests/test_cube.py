@@ -274,7 +274,8 @@ def test_ecc_rows_step_the_dimension_by_one_through_positive_dimensions(dims):
     "ks",
     # across index 170, where the logarithm leaves log2_int for Binet's formula;
     # one row with a step too large to evaluate F(step)
-    [range(1, 400), range(2, 3000, 7), range(160, 2600, 123), range(5000, 5001), range(20000, 20001, 10**12)],
+    [range(1, 400), range(2, 3000, 7), range(160, 2600, 123), range(5000, 5001), range(20000, 20001, 10**12),
+     range(0, 300)],
 )
 def test_count_rows_match_the_int_closed_forms(kind, ks):
     rows = list(count_rows(ks, kind))

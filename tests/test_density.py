@@ -167,7 +167,7 @@ def test_explicit_graph_validation():
 @pytest.mark.parametrize(
     "labels, edges, message",
     [
-        # each input carries two defects; the error names the first, in the ordered scan's order
+        # each input carries two defects; the error names the first the check meets: vertices, then edges in turn
         (("0", "00", "00"), (), "vertex labels must share one length"),
         (("0", "0", "00"), (), "duplicate vertex label 0"),
         (("00", "01", "01", "00"), (), "duplicate vertex label 01"),
@@ -185,7 +185,7 @@ def test_explicit_graph_names_the_first_defect(labels, edges, message):
 
 
 def test_explicit_graph_accepts_what_the_ordered_checks_accept():
-    # edges as lists cannot be hashed in bulk; the ordered scan still accepts them
+    # the check takes edges as lists too, and the record stores them as tuples
     g = ExplicitGraph((W("00"), W("01"), W("10")), [[0, 1], [0, 2]])
     assert (g.num_vertices, g.num_edges) == (3, 2)
     with pytest.raises(ValueError, match="^too many values to unpack"):  # an edge of three indices
@@ -193,7 +193,7 @@ def test_explicit_graph_accepts_what_the_ordered_checks_accept():
 
 
 def test_explicit_graph_checks_an_edge_iterator_it_stores():
-    # the bulk check would use the iterator up and leave the scan no edge to check
+    # an edge iterator is read once, into the stored tuple, and the check scans that tuple
     with pytest.raises(ValueError, match="^edge 00 -- 11 does not flip exactly one position$"):
         ExplicitGraph(tuple(map(W, ("00", "01", "11"))), iter([(0, 2)]))
     g = ExplicitGraph(iter(map(W, ("00", "01", "11"))), iter([(0, 1), (1, 2)]))
@@ -393,35 +393,55 @@ def test_product_with_fixed_factor_keeps_density():
     assert diffs[-1] < Decimal("1e-2")
 
 
+def random_subgraph(data, tag):
+    """A random checked subgraph of a hypercube of dimension 1..4, with up to 8 vertices."""
+    n = data.draw(st.integers(min_value=1, max_value=4), label=f"n_{tag}")
+    cube_bits = list(range(1 << n))
+    chosen = data.draw(
+        st.lists(st.sampled_from(cube_bits), min_size=1, max_size=8, unique=True),
+        label=f"verts_{tag}",
+    )
+    chosen.sort()
+    index = {b: i for i, b in enumerate(chosen)}
+    edges = []
+    for i, b in enumerate(chosen):
+        for j in range(n):
+            other = index.get(b | (1 << j))
+            if not (b >> j) & 1 and other is not None:
+                edges.append((i, other))
+    keep = data.draw(
+        st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)),
+        label=f"keep_{tag}",
+    )
+    kept = tuple(e for e, k in zip(edges, keep) if k)
+    return ExplicitGraph(tuple(BitWord(n, b) for b in chosen), kept)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_product_count_formulas_on_random_subgraphs(data):
-    def random_subgraph(tag):
-        n = data.draw(st.integers(min_value=1, max_value=4), label=f"n_{tag}")
-        cube_bits = list(range(1 << n))
-        chosen = data.draw(
-            st.lists(st.sampled_from(cube_bits), min_size=1, max_size=8, unique=True),
-            label=f"verts_{tag}",
-        )
-        chosen.sort()
-        index = {b: i for i, b in enumerate(chosen)}
-        edges = []
-        for i, b in enumerate(chosen):
-            for j in range(n):
-                other = index.get(b | (1 << j))
-                if not (b >> j) & 1 and other is not None:
-                    edges.append((i, other))
-        keep = data.draw(
-            st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)),
-            label=f"keep_{tag}",
-        )
-        kept = tuple(e for e, k in zip(edges, keep) if k)
-        return ExplicitGraph(tuple(BitWord(n, b) for b in chosen), kept)
-
-    g = random_subgraph("g")
-    h = random_subgraph("h")
+    g = random_subgraph(data, "g")
+    h = random_subgraph(data, "h")
     p = cartesian_product(g, h)
     assert p.num_vertices == g.num_vertices * h.num_vertices
     assert p.num_edges == g.num_vertices * h.num_edges + h.num_vertices * g.num_edges
     holds, _ = density_lemma_check(p.num_vertices, p.num_edges)
     assert holds
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC, WordClass.UNRESTRICTED])
+def test_cube_exports_pass_the_check_they_skip(kind):
+    for n in range(11):
+        g = ExplicitGraph.from_cube(CubeGraph(kind, n))
+        assert ExplicitGraph(*g) == g, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_products_pass_the_check_they_skip(data):
+    g, h = random_subgraph(data, "g"), random_subgraph(data, "h")
+    start = data.draw(st.integers(1, 3), label="start")
+    # powers up to g^3: at most 512 vertices
+    ks = range(start, data.draw(st.integers(start, 4), label="stop"), data.draw(st.integers(1, 2), label="step"))
+    for p in (cartesian_product(g, h), *cartesian_powers(g, ks)):
+        assert ExplicitGraph(*p) == p
