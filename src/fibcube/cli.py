@@ -51,6 +51,7 @@ def format_significant(value: Decimal, digits: int) -> str:
     return str(q)
 
 
+# quantize fails unless prec holds what it keeps: digits, or digits + 1 when rounding carries
 @functools.cache
 def _quantize_context(digits: int) -> Context:
     return Context(prec=digits + 2)

@@ -232,19 +232,14 @@ def _word_states(m: int, init: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
 
 
 def eccentricity_fast(w: BitWord) -> int:
-    """Eccentricity in the Fibonacci cube of the word's length, in O(n).
-
-    Strips the word by its last two symbols (both symbols when it ends
-    00, one symbol otherwise); every strip adds exactly 1, and a word of
-    length 0 or 1 has eccentricity equal to its length.
-    """
+    """Eccentricity in the Fibonacci cube of the word's length: n minus floor(r/2) summed
+    over the maximal runs of r 0s. Strip the word by its last two symbols (both when it
+    ends 00, one otherwise): each strip adds 1 to the eccentricity, and a word of length
+    0 or 1 has its length as eccentricity. A strip of 00 shortens a run by 2, and any other
+    strip removes a symbol that adds nothing to the sum, so each lowers n - sum floor(r/2) by 1."""
     if not is_fibonacci(w):
         raise ValueError(f"{w!s} has adjacent 1s")
-    n, bits, steps = w.n, w.bits, 0
-    while n > 1:
-        strip = 2 if bits & 3 == 0 else 1
-        n, bits, steps = n - strip, bits >> strip, steps + 1
-    return steps + n
+    return w.n - sum(len(run) // 2 for run in str(w).split("1"))
 
 
 # adds 1 to every byte, by bytes.translate; eccentricities stay far below 255
@@ -257,10 +252,9 @@ def _fast_eccentricities(n: int) -> bytes:
     W_n = 0.W_{n-1} ++ 10.W_{n-2}, and the F(n) words of 0.W_{n-1} that
     start 00 come first. Stripping from the front (both symbols of a
     leading 00, one symbol otherwise) adds 1 per strip, so
-    E_n = 1 + (E_{n-2} ++ E_{n-1}[F(n):] ++ E_{n-1}[:F(n)]). Stripping from
-    the back, as eccentricity_fast does, gives the same values: both equal n
-    minus the sum of floor(r/2) over the maximal runs of r 0s, which
-    reversal keeps. E_{-1} = [0] lets the rule give E_1 = [1, 1] from E_0 = [0].
+    E_n = 1 + (E_{n-2} ++ E_{n-1}[F(n):] ++ E_{n-1}[:F(n)]). These equal eccentricity_fast's
+    closed form, by its proof read from the front: reversal keeps the runs of 0s.
+    E_{-1} = [0] lets the rule give E_1 = [1, 1] from E_0 = [0].
     """
     older, e = b"\0", b"\0"  # E_{-1}, E_0
     for _ in range(n):

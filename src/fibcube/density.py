@@ -35,10 +35,8 @@ class ExplicitGraph(NamedTuple("ExplicitGraph", [("vertices", tuple), ("edges", 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, vertices: tuple[BitWord, ...], edges: tuple[tuple[int, int], ...]) -> "ExplicitGraph":
-        # tuples before any check, so the record holds what was checked and hashes; tuples pass uncopied
-        vertices = tuple(vertices)
-        if not (isinstance(edges, tuple) and all(map(isinstance, edges, itertools.repeat(tuple)))):
-            edges = tuple(map(tuple, edges))
+        # tuples before any check, so the record holds what was checked and hashes
+        vertices, edges = tuple(vertices), tuple(map(tuple, edges))
         if not vertices:
             raise ValueError("a graph needs at least one vertex")
         seen = set()
@@ -74,20 +72,16 @@ class ExplicitGraph(NamedTuple("ExplicitGraph", [("vertices", tuple), ("edges", 
         return tuple.__new__(cls, (tuple(g.words()), edges))
 
 
-def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal], *, log2_nv: Decimal | None = None) -> Decimal:
-    """Average degree divided by log2 of the vertex count. It depends on the counts
-    alone: of an ExplicitGraph, or a bare (vertices, edges) pair of ints or of exact
-    integer Decimals. For Decimals, ``log2_nv``, log2_int of the vertex count, spares
-    converting the count back to an int; it is trusted to equal it."""
-    if isinstance(graph, ExplicitGraph):
-        nv, ne = graph.num_vertices, graph.num_edges
-    else:
-        nv, ne = graph
+def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal]) -> Decimal:
+    """Average degree divided by log2 of the vertex count, from the counts alone: of an
+    ExplicitGraph, or a bare (vertices, edges) pair of integers, as ints or as exact integer
+    Decimals. A count that is not an integer, or a negative edge count, raises ValueError."""
+    counts = (graph.num_vertices, graph.num_edges) if isinstance(graph, ExplicitGraph) else tuple(graph)
+    nv, ne = map(int, counts)
+    if (nv, ne) != counts or ne < 0:
+        raise ValueError("counts must be integers, and the edge count non-negative")
     if nv <= 1:
         raise ValueError("density undefined for graphs with fewer than two vertices")
-    if isinstance(ne, Decimal):
-        log2_nv = log2_int(int(nv)) if log2_nv is None else log2_nv
-        return _CTX.divide(_CTX.divide(_EXACT.multiply(2, ne), nv), log2_nv)
     return _CTX.divide(to_decimal(2 * ne, nv), log2_int(nv))
 
 
@@ -215,9 +209,10 @@ def sampled_indices(family: GraphFamily, k_max: int, step: int = 1) -> range:
 
 
 def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, ...]:
-    """Densities along the family at sampled_indices(family, k_max, step)."""
+    """Densities along the family at sampled_indices(family, k_max, step). A cube family's rows
+    come from one exact sweep, each divided by its logarithm; other families' go through rho."""
     ks = sampled_indices(family, k_max, step)
-    if isinstance(family.counts, _CubeCounts):  # one exact sweep for the whole table
+    if isinstance(family.counts, _CubeCounts):
         counts = count_rows(ks, family.counts.kind)
     else:
         counts = ((*family.counts(k), None) for k in ks)
@@ -227,6 +222,7 @@ def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, .
         if nv <= prev_nv:
             raise ArithmeticError(f"family {family.name} is not increasing at k={k}")
         prev_nv = nv
-        rows.append(RhoRow(k, Decimal(nv), Decimal(ne), rho((nv, ne), log2_nv=log2_nv)))
+        r = rho((nv, ne)) if log2_nv is None else _CTX.divide(_CTX.divide(_EXACT.multiply(2, ne), nv), log2_nv)
+        rows.append(RhoRow(k, Decimal(nv), Decimal(ne), r))
     return tuple(rows)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 
 #: Significant decimal digits carried by every Decimal this package produces.
 DIGITS = 50
@@ -77,9 +76,8 @@ def golden_ratio() -> Decimal:
 def to_decimal(value: Fraction | int, denominator: int = 1) -> Decimal:
     """value / denominator, correctly rounded to DIGITS digits. The two
     need not be in lowest terms, so no gcd is taken."""
-    q = Fraction(value)
     with localcontext(_CTX):
-        return Decimal(q.numerator) / Decimal(q.denominator * denominator)
+        return Decimal(value.numerator) / Decimal(value.denominator * denominator)
 
 
 def log2_int(v: int) -> Decimal:

@@ -205,9 +205,7 @@ def test_explicit_graph_from_lists_hashes_like_a_tuple():
     g = ExplicitGraph([W("00"), W("01"), W("10")], [[0, 1], [0, 2]])
     plain = ((W("00"), W("01"), W("10")), ((0, 1), (0, 2)))
     assert g == plain and hash(g) == hash(plain)
-    # tuples of tuples are stored as given
-    vertices, edges = plain
-    assert ExplicitGraph(vertices, edges).vertices is vertices and ExplicitGraph(vertices, edges).edges is edges
+    assert ExplicitGraph(*plain) == plain
 
 
 @pytest.mark.parametrize(
@@ -320,12 +318,19 @@ def test_rho_of_a_cube_rows_counts_is_its_rho(make_family):
         assert str(rho((int(r.num_vertices), int(r.num_edges)))) == str(r.rho), r.k
 
 
-def test_rho_takes_the_logarithm_by_keyword_only():
-    # a vertex count passed where the logarithm goes fails loudly, not as a wrong rho
-    nv, ne = Decimal(vertex_count(10, FIB)), Decimal(edge_count(10, FIB))
+def test_rho_takes_the_counts_alone():
+    # a second argument fails loudly, not as a wrong rho
+    nv, ne = vertex_count(10, FIB), edge_count(10, FIB)
     with pytest.raises(TypeError):
-        rho((nv, ne), vertex_count(10, FIB))
-    assert rho((nv, ne), log2_nv=log2_int(vertex_count(10, FIB))) == rho((nv, ne))
+        rho((nv, ne), log2_int(nv))
+    with pytest.raises(TypeError):
+        rho((nv, ne), log2_nv=log2_int(nv))
+    assert rho((Decimal(nv), Decimal(ne))) == rho((nv, ne))
+    # a count off the integers, or a negative edge count, as ints and as Decimals
+    for counts in [(Decimal("144.5"), Decimal(420)), (Decimal(144), Decimal("420.5")), (144.5, 420),
+                   (144, -3), (Decimal(144), Decimal(-3))]:
+        with pytest.raises(ValueError):
+            rho(counts)
 
 
 @pytest.mark.parametrize(
