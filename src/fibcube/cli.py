@@ -203,15 +203,15 @@ def _cmd_weights(args) -> int:
     if args.verify and n > _VERIFY_MAX_N:
         raise _UsageError(f"--verify needs --n <= {_VERIFY_MAX_N}")
     if args.verify:
-        for (i, zero, one), brute in zip(cube.weight_rows(n, kind), cube.weight_counts_brute(n, kind), strict=True):
+        for (i, zero, one, _), brute in zip(cube.weight_rows(n, kind), cube.weight_counts_brute(n, kind), strict=True):
             if not _agree(f"i={i}", "weight counts", sweep=(int(zero), int(one)), brute=brute):
                 return 2
     header = ["i", "zero_count", "one_count", "ratio"]
-    sums = cube.weight_ratio_sums(n, kind)
-    head = list(itertools.islice(sums, 2))
+    sweep = cube.weight_rows(n, kind)
+    head = list(itertools.islice(sweep, 2))
 
     def rows():
-        for i, zero, one, total in itertools.chain(head, sums):
+        for i, zero, one, total in itertools.chain(head, sweep):
             yield [str(i), zero, one, format_significant(_CTX.divide(zero, one), args.digits)]
         yield ["avg", "", "", format_significant(_CTX.divide(total, n), args.digits)]
 
@@ -275,10 +275,10 @@ def _fib_powers(density, base_n: int | None):
 # --family -> (family from the density module and --base-n, cap on --k); the cube caps
 # are the row bound. The module is an argument: cli imports it only in _cmd_density
 _DENSITY_FAMILIES = {
-    "fib": (lambda density, _: density.fibonacci_cube_family(), _DENSITY_MAX_ROWS),
-    "lucas": (lambda density, _: density.lucas_cube_family(), _DENSITY_MAX_ROWS),
-    "skk": (lambda density, _: density.subdivided_complete_family(), 10**6),
-    "cycles": (lambda density, _: density.even_cycle_family(), 10**12),
+    "fib": (lambda density, _: density.FIBONACCI_CUBES, _DENSITY_MAX_ROWS),
+    "lucas": (lambda density, _: density.LUCAS_CUBES, _DENSITY_MAX_ROWS),
+    "skk": (lambda density, _: density.SUBDIVIDED_COMPLETE, 10**6),
+    "cycles": (lambda density, _: density.EVEN_CYCLES, 10**12),
     "power": (_fib_powers, 1000),
 }
 
@@ -377,6 +377,7 @@ def _add_common(p: argparse.ArgumentParser, digits: bool = False) -> None:
         )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fibcube", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -350,13 +350,13 @@ def weight_counts_brute(n: int, kind: WordClass) -> list[tuple[int, int]]:
 
 def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
     """Mean over positions of (#words with 0 there) / (#words with 1 there). Exact."""
-    return sum((Fraction(int(z), int(o)) for _, z, o in weight_rows(n, kind)), Fraction(0)) / n
+    return sum((Fraction(int(z), int(o)) for _, z, o, _ in weight_rows(n, kind)), Fraction(0)) / n
 
 
 def weight_ratio_average_decimal(n: int, kind: WordClass):
-    """Same mean at package precision, from the last sum of weight_ratio_sums;
+    """Same mean at package precision, from the last sum of weight_rows;
     preferred for large n, where the exact rational's denominator grows out of hand."""
-    return _CTX.divide(deque(weight_ratio_sums(n, kind), maxlen=1)[0][-1], n)
+    return _CTX.divide(deque(weight_rows(n, kind), maxlen=1)[0][-1], n)
 
 
 # Exact integer arithmetic in Decimal for the table sweeps: libmpdec writes
@@ -445,39 +445,30 @@ def ecc_rows(ns: range, kind: WordClass):
         yield row
 
 
-def weight_ratio_sums(n: int, kind: WordClass):
-    """weight_rows(n, kind), each row with the sum of zero/one up to it. The ratios
+def weight_rows(n: int, kind: WordClass):
+    """Rows (i, zero, one, total) for positions i = 1..n, from one sweep: the count
+    one of words with 1 at position i by the closed form of weight_count, which stays
+    the reference, and the count zero of words with 0 there as the vertex count less
+    one, both exact integer Decimals; total is the sum of zero/one up to i. The ratios
     are divided and summed with len(str(n)) + 5 guard digits, so the last sum is off
     by under 1e-4 units in the last place of the mean. Rounded once, only a mean
     within that distance of a halfway point can round the other way."""
-    guard = Context(prec=DIGITS + len(str(n)) + 5)
-    total = Decimal(0)
-    for i, zero, one in weight_rows(n, kind):
-        total = guard.add(total, guard.divide(zero, one))
-        yield i, zero, one, total
-
-
-def weight_rows(n: int, kind: WordClass):
-    """Rows (i, zero, one) for positions i = 1..n, from one sweep:
-    the counts of words with 0 and with 1 at position i, as exact integer
-    Decimals by the closed forms of weight_count, which stays the reference."""
     _require_kind(kind)
     if n < 1:
         raise ValueError("weight ratios need n >= 1")
     if kind is WordClass.LUCAS and n == 1:
         raise ValueError("undefined for the length-1 Lucas cube: no word has a 1")
     f0, f1 = fibonacci_pair(n - 1)  # F(n-1), F(n)
-    # Fibonacci: F(i+1)F(n-i+2) and F(i)F(n-i+1) are each a constant plus
-    # multiples of (-phi^2)^i and (-psi^2)^i, roots of x^2 + 3x + 1, so they
-    # obey P(i+3) = P(i) + 2(P(i+1) - P(i+2)); so do Lucas's constant counts.
-    if kind is WordClass.FIBONACCI:
-        zero = f0 + f1, 2 * f1, 3 * f0  # F(2)F(n+1), F(3)F(n), F(4)F(n-1)
-        one = f1, f0, 2 * (f1 - f0)  # F(1)F(n), F(2)F(n-1), F(3)F(n-2)
-    else:
-        zero, one = (f0 + f1,) * 3, (f0,) * 3  # F(n+1), F(n-1)
-    (z0, z1, z2), (o0, o1, o2) = map(Decimal, zero), map(Decimal, one)
+    # Fibonacci: F(i)F(n-i+1) is a constant plus multiples of (-phi^2)^i and (-psi^2)^i,
+    # roots of x^2 + 3x + 1, so P(i+3) = P(i) + 2(P(i+1) - P(i+2)); so does Lucas's F(n-1)
+    ones = (f1, f0, 2 * (f1 - f0)) if kind is WordClass.FIBONACCI else (f0,) * 3  # F(1)F(n), F(2)F(n-1), F(3)F(n-2)
+    one, o1, o2 = map(Decimal, ones)
+    vertices = Decimal(_vertices(n, f1, f0 + f1, kind))
+    guard = Context(prec=DIGITS + len(str(n)) + 5)
+    total = Decimal(0)
     for i in range(1, n + 1):
-        yield i, z0, o0
+        zero = _EXACT.subtract(vertices, one)
+        total = guard.add(total, guard.divide(zero, one))
+        yield i, zero, one, total
         with localcontext(_EXACT):
-            z0, z1, z2 = z1, z2, z0 + 2 * (z1 - z2)
-            o0, o1, o2 = o1, o2, o0 + 2 * (o1 - o2)
+            one, o1, o2 = o1, o2, one + 2 * (o1 - o2)

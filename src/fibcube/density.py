@@ -162,22 +162,12 @@ class _CubeCounts(NamedTuple):
         return vertex_count(n, self.kind), edge_count(n, self.kind)
 
 
-def fibonacci_cube_family() -> GraphFamily:
-    return GraphFamily("fibonacci-cubes", 1, _CubeCounts(WordClass.FIBONACCI))
-
-
-def lucas_cube_family() -> GraphFamily:
-    # starts at 2: the length-1 cube has a single vertex, so no density
-    return GraphFamily("lucas-cubes", 2, _CubeCounts(WordClass.LUCAS))
-
-
-def subdivided_complete_family() -> GraphFamily:
-    return GraphFamily("subdivided-complete", 2, subdivided_complete)
-
-
-def even_cycle_family() -> GraphFamily:
-    """Cycles on 2k vertices: max degree 2, so the density drains to zero."""
-    return GraphFamily("even-cycles", 2, lambda k: (2 * k, 2 * k))
+FIBONACCI_CUBES = GraphFamily("fibonacci-cubes", 1, _CubeCounts(WordClass.FIBONACCI))
+# starts at 2: the length-1 cube has a single vertex, so no density
+LUCAS_CUBES = GraphFamily("lucas-cubes", 2, _CubeCounts(WordClass.LUCAS))
+SUBDIVIDED_COMPLETE = GraphFamily("subdivided-complete", 2, subdivided_complete)
+# cycles on 2k vertices: max degree 2, so the density drains to zero
+EVEN_CYCLES = GraphFamily("even-cycles", 2, lambda k: (2 * k, 2 * k))
 
 
 def power_family(base_vertices: int, base_edges: int) -> GraphFamily:

@@ -111,6 +111,7 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
         (["density", "--family", "lucas", "--k", "20000"], 201),
         (["density", "--family", "fib", "--k", "20000", "--step", "1000000000000"], 2),
         (["ecc-table", "--kind", "fib", "--n-max", "20000", "--digits", "50"], 20001),
+        (["weights", "--kind", "lucas", "--n", "10000"], 10002),
     ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
@@ -248,7 +249,7 @@ def test_weights_widths_from_the_first_rows_match_the_widest_cells(capsys, kind)
      ("fib", 20000, None), ("lucas", 20000, None), ("lucas", 20000, 20000), ("lucas", 2000, 1)],
 )
 def test_density_matches_the_int_rendering(capsys, fmt, digits, family, k, step):
-    fam = {"fib": density.fibonacci_cube_family, "lucas": density.lucas_cube_family}[family]()
+    fam = {"fib": density.FIBONACCI_CUBES, "lucas": density.LUCAS_CUBES}[family]
     stride = step or max(1, k // 200)
     rows = []
     for j in range(k - (k - fam.first_index) // stride * stride, k + 1, stride):

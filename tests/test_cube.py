@@ -204,7 +204,7 @@ def test_weight_ratio_average_lucas_length_one_undefined():
 
 def _mean_to_200_digits(n, kind):
     with localcontext(Context(prec=200)):
-        return sum(zero / one for _, zero, one in weight_rows(n, kind)) / n
+        return sum(zero / one for _, zero, one, _ in weight_rows(n, kind)) / n
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
@@ -314,7 +314,7 @@ def test_weight_rows_match_the_int_closed_forms(kind, n):
         return
     rows = list(weight_rows(n, kind))
     assert [row[0] for row in rows] == list(range(1, n + 1))
-    for i, zero, one in rows:
+    for i, zero, one, _ in rows:
         w0, w1 = weight_count(n, i, 0, kind), weight_count(n, i, 1, kind)
         assert (str(zero), str(one)) == (str(w0), str(w1))
 
@@ -323,7 +323,7 @@ def test_weight_rows_match_the_int_closed_forms(kind, n):
 def test_edges_are_the_ones_of_the_weight_sweep(kind):
     # clearing a 1 never leaves the word class, so each edge is one (word, position of a 1)
     for n in range(1 if kind is FIB else 2, 401):
-        assert sum(int(one) for _, _, one in weight_rows(n, kind)) == edge_count(n, kind), n
+        assert sum(int(one) for _, _, one, _ in weight_rows(n, kind)) == edge_count(n, kind), n
 
 
 def test_vertex_counts():

@@ -8,25 +8,27 @@ from hypothesis import strategies as st
 from fibcube import cube, density
 from fibcube.cube import CubeGraph, edge_count, vertex_count, weight_ratio_average
 from fibcube.density import (
+    EVEN_CYCLES,
+    FIBONACCI_CUBES,
+    LUCAS_CUBES,
+    SUBDIVIDED_COMPLETE,
     ExplicitGraph,
     GraphFamily,
     cartesian_power,
     cartesian_powers,
     cartesian_product,
     density_lemma_check,
-    even_cycle_family,
-    fibonacci_cube_family,
-    lucas_cube_family,
     power_family,
     rho,
     rho_limit,
     subdivided_complete,
-    subdivided_complete_family,
 )
 from fibcube.numeric import fibonacci, log2_int, to_decimal
 from fibcube.words import BitWord, WordClass
 
 W = BitWord.from_string
+# the case ids the cube families had as factory functions, kept so the ids stay stable
+_CUBE_IDS = ["fibonacci_cube_family", "lucas_cube_family"]
 FIB, LUC = WordClass.FIBONACCI, WordClass.LUCAS
 
 PHI_SQ = Decimal("2.61803398874989484820458683437")
@@ -229,7 +231,7 @@ def test_cartesian_powers_equal_cartesian_power_with_one_product_a_row(monkeypat
 
 
 def test_even_cycles_bounded_degree():
-    fam = even_cycle_family()
+    fam = EVEN_CYCLES
     counts = [fam.counts(k) for k in (2, 4, 16, 2**10, 2**20)]
     # handshake: max degree 2 gives 2E <= 2V, so the densities must sink
     assert all(2 * ne <= 2 * nv for nv, ne in counts)
@@ -241,11 +243,11 @@ def test_even_cycles_bounded_degree():
 
 
 def test_rho_limit_fibonacci_and_lucas():
-    rows = rho_limit(fibonacci_cube_family(), 10000, step=500)
+    rows = rho_limit(FIBONACCI_CUBES, 10000, step=500)
     assert [r.k for r in rows] == list(range(500, 10001, 500))
     assert abs(rows[-1].rho - RHO_CUBES) < Decimal("1e-3")
 
-    rows = rho_limit(lucas_cube_family(), 10000, step=500)
+    rows = rho_limit(LUCAS_CUBES, 10000, step=500)
     assert abs(rows[-1].rho - RHO_CUBES) < Decimal("1e-3")
 
 
@@ -261,11 +263,10 @@ def _assert_rows_match_the_int_counts(family, rows):
         assert str(r.rho) == str(rho((nv, ne))), r.k
 
 
-@pytest.mark.parametrize("make_family", [fibonacci_cube_family, lucas_cube_family])
+@pytest.mark.parametrize("family", [FIBONACCI_CUBES, LUCAS_CUBES], ids=_CUBE_IDS)
 @pytest.mark.parametrize("k_max", ["first", 2, 3, 1000, 20000])
 @pytest.mark.parametrize("step", [1, 7, 100, 500, "k_max"])
-def test_cube_rows_equal_rho_of_the_int_counts(make_family, k_max, step):
-    family = make_family()
+def test_cube_rows_equal_rho_of_the_int_counts(family, k_max, step):
     k_max = family.first_index if k_max == "first" else k_max
     step = k_max if step == "k_max" else step
     rows = rho_limit(family, k_max, step)
@@ -276,9 +277,8 @@ def test_cube_rows_equal_rho_of_the_int_counts(make_family, k_max, step):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([fibonacci_cube_family, lucas_cube_family]), st.integers(2, 1500), st.integers(1, 1600))
-def test_cube_rows_equal_rho_of_the_int_counts_at_any_step(make_family, k_max, step):
-    family = make_family()
+@given(st.sampled_from([FIBONACCI_CUBES, LUCAS_CUBES]), st.integers(2, 1500), st.integers(1, 1600))
+def test_cube_rows_equal_rho_of_the_int_counts_at_any_step(family, k_max, step):
     rows = rho_limit(family, k_max, step)
     assert [r.k for r in rows] == _sampled_k(family, k_max, step)
     _assert_rows_match_the_int_counts(family, rows)
@@ -288,13 +288,13 @@ def test_a_cube_table_evaluates_two_fibonacci_pairs(monkeypatch):
     calls = []
     evaluate = cube.fibonacci_pair
     monkeypatch.setattr(cube, "fibonacci_pair", lambda n: calls.append(n) or evaluate(n))
-    rows = rho_limit(fibonacci_cube_family(), 20000, 100)
+    rows = rho_limit(FIBONACCI_CUBES, 20000, 100)
     assert len(rows) == 200
     assert calls == [99, 100]  # the stride (F(99), F(100)), then the first row's (F(100), F(101))
 
 
-@pytest.mark.parametrize("make_family", [fibonacci_cube_family, lucas_cube_family])
-def test_a_one_row_table_evaluates_no_stride(monkeypatch, make_family):
+@pytest.mark.parametrize("family", [FIBONACCI_CUBES, LUCAS_CUBES], ids=_CUBE_IDS)
+def test_a_one_row_table_evaluates_no_stride(monkeypatch, family):
     calls = []
     evaluate = cube.fibonacci_pair
 
@@ -304,16 +304,16 @@ def test_a_one_row_table_evaluates_no_stride(monkeypatch, make_family):
         return evaluate(n)
 
     monkeypatch.setattr(cube, "fibonacci_pair", counted)
-    rows = rho_limit(make_family(), 20000, 10**12)
+    rows = rho_limit(family, 20000, 10**12)
     assert [r.k for r in rows] == [20000]
     assert calls == [20000]
-    _assert_rows_match_the_int_counts(make_family(), rows)
+    _assert_rows_match_the_int_counts(family, rows)
 
 
-@pytest.mark.parametrize("make_family", [fibonacci_cube_family, lucas_cube_family])
-def test_rho_of_a_cube_rows_counts_is_its_rho(make_family):
+@pytest.mark.parametrize("family", [FIBONACCI_CUBES, LUCAS_CUBES], ids=_CUBE_IDS)
+def test_rho_of_a_cube_rows_counts_is_its_rho(family):
     # the Decimal counts of a row go back into rho without the int vertex count
-    for r in rho_limit(make_family(), 3000, 333):
+    for r in rho_limit(family, 3000, 333):
         assert rho((r.num_vertices, r.num_edges)) == r.rho, r.k
         assert str(rho((int(r.num_vertices), int(r.num_edges)))) == str(r.rho), r.k
 
@@ -335,8 +335,8 @@ def test_rho_takes_the_counts_alone():
 
 @pytest.mark.parametrize(
     "family, k_max",
-    [(fibonacci_cube_family(), 300), (lucas_cube_family(), 300), (power_family(5, 5), 40),
-     (subdivided_complete_family(), 300), (even_cycle_family(), 300)],
+    [(FIBONACCI_CUBES, 300), (LUCAS_CUBES, 300), (power_family(5, 5), 40),
+     (SUBDIVIDED_COMPLETE, 300), (EVEN_CYCLES, 300)],
 )
 def test_every_family_rows_hold_exact_integer_decimal_counts(family, k_max):
     for r in rho_limit(family, k_max, step=7):
@@ -360,7 +360,7 @@ def test_rho_limit_power_family_is_flat():
 
 
 def test_subdivided_family_table():
-    rows = rho_limit(subdivided_complete_family(), 40, step=1)
+    rows = rho_limit(SUBDIVIDED_COMPLETE, 40, step=1)
     assert [r.k for r in rows] == list(range(2, 41))
     values = [r.rho for r in rows]
     assert all(b < a for a, b in zip(values, values[1:]))
