@@ -24,7 +24,7 @@ _VERIFY_MAX_N = 16
 # and so do explicit Cartesian powers, by their vertex count
 _VERIFY_MAX_VERTICES = 5000
 # ecc-hist routes, in the order --verify compares them, and each one's cap on --n;
-# at its cap fast takes ~0.6 s and 119 MB, gf ~0.2 s and 24 MB for --kind lucas
+# at its cap fast takes ~0.5 s and 51 MB, gf ~0.2 s and 24 MB for --kind lucas
 _ECC_HIST_CAPS = {"bfs": _VERIFY_MAX_N, "gf": 500, "hamming": _VERIFY_MAX_N, "fast": 30}
 # density rows at most; the fib/lucas --k cap, so --step 1 stays valid there
 _DENSITY_MAX_ROWS = 20000
@@ -34,37 +34,35 @@ class _UsageError(Exception):
     pass
 
 
+class _Inconsistent(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
 
 def format_significant(value: Decimal, digits: int) -> str:
-    """Render with exactly ``digits`` significant digits."""
-    ctx = _quantize_context(digits)
-    d = Decimal(value)
+    """Render with exactly ``digits`` significant digits: rounded once, then padded with zeros."""
+    ctx = _significant(digits)
+    d = ctx.plus(Decimal(value))
     if d == 0:
         return "0"
-    q = d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1)), context=ctx)
-    if q.adjusted() > d.adjusted():  # rounding carried into a new digit
-        q = q.quantize(Decimal((0, (1,), q.adjusted() - digits + 1)), context=ctx)
-    return str(q)
+    return str(d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1)), context=ctx))
 
 
-# quantize fails unless prec holds what it keeps: digits, or digits + 1 when rounding carries
 @functools.cache
-def _quantize_context(digits: int) -> Context:
-    return Context(prec=digits + 2)
+def _significant(digits: int) -> Context:
+    return Context(prec=digits)
 
 
-def _agree(at: str, what: str, **routes) -> bool:
-    """Whether every route gave the same value; if not, say so on stderr."""
+def _agree(at: str, what: str, **routes) -> None:
+    """Raise _Inconsistent, naming every route's value, unless all routes gave the same one."""
     first, *rest = routes.values()
-    if all(v == first for v in rest):
-        return True
-    found = " ".join(f"{route}={v}" for route, v in routes.items())
-    print(f"consistency failure at {at}: {what} {found}", file=sys.stderr)
-    return False
+    if not all(v == first for v in rest):
+        found = " ".join(f"{route}={v}" for route, v in routes.items())
+        raise _Inconsistent(f"consistency failure at {at}: {what} {found}")
 
 
 def _emit(lines: Iterable[str]) -> None:
@@ -77,20 +75,21 @@ def _cell_width(cell) -> int:
 
 
 def _table(
-    header: list[str], rows: Iterable[list], fmt: str, left: frozenset[int] = frozenset(), widths: list[int] | None = None
+    header: list[str], rows: Iterable[list], fmt: str, left: frozenset[int] = frozenset(), bound: Iterable | None = None
 ) -> Iterator[str]:
     """The lines of a table. A cell is text or an exact integer Decimal, rendered
-    by str. Text pads each column to ``widths``; without them, the rows are listed
-    once and the widest cell of each column found, rendering no Decimal. csv, and
-    text given its widths (as ecc-table and weights give them), stream the rows.
+    by str. Text pads each column to its widest cell in the header and ``bound``,
+    rows whose cells are as wide as any row's, rendering no Decimal; by default the
+    rows themselves, listed once. csv, and text given a bound (as ecc-table and
+    weights give one), stream the rows.
     """
     if fmt == "csv":
         return itertools.chain([",".join(header)], (",".join(map(str, r)) for r in rows))
-    if widths is None:
-        rows = list(rows)
-        widths = list(map(len, header))
-        for r in rows:
-            widths = list(map(max, widths, map(_cell_width, r)))
+    if bound is None:
+        rows = bound = list(rows)
+    widths = list(map(len, header))
+    for r in bound:
+        widths = list(map(max, widths, map(_cell_width, r)))
     return (
         "  ".join(
             cell.ljust(w) if c in left else cell.rjust(w) for c, (cell, w) in enumerate(zip(map(str, r), widths))
@@ -127,11 +126,8 @@ def _cmd_ecc_table(args) -> int:
         for n, nv, ne, es, _, _ in cube.ecc_rows(dims, kind):
             g = cube.CubeGraph(kind, n)
             brute_sum = sum(g.eccentricities("bfs"))
-            if not (
-                _agree(f"n={n}", "eccentricity sums", bfs=brute_sum, sweep=int(es), gf=gf_sums[n])
-                and _agree(f"n={n}", "counts", brute=(g.num_vertices, g.edge_count_brute()), sweep=(int(nv), int(ne)))
-            ):
-                return 2
+            _agree(f"n={n}", "eccentricity sums", bfs=brute_sum, sweep=int(es), gf=gf_sums[n])
+            _agree(f"n={n}", "counts", brute=(g.num_vertices, g.edge_count_brute()), sweep=(int(nv), int(ne)))
 
     def cells(row):  # p/q is ecc_sum/vertices itself when g = 1, so their text is reused
         n, nv, ne, es, (p, q), over_n = row
@@ -141,15 +137,15 @@ def _cmd_ecc_table(args) -> int:
         return [str(n), nv_text, str(ne), es_text, avg, format_significant(over_n, args.digits)]
 
     header = ["n", "vertices", "edges", "ecc_sum", "avg_ecc", "avg_ecc_over_n"]
-    widths = None
+    bound = None
     if args.format == "text":
-        widths = _ecc_widths(header, map(cells, cube.ecc_rows(range(args.n_max, 0, -1), kind)), args.digits)
-    _emit(_table(header, map(cells, cube.ecc_rows(dims, kind)), args.format, widths=widths))
+        bound = _ecc_bound(header, map(cells, cube.ecc_rows(dims[::-1], kind)), args.digits)
+    _emit(_table(header, map(cells, cube.ecc_rows(dims, kind)), args.format, bound=bound))
     return 0
 
 
-def _ecc_widths(header: list[str], rows_down: Iterable[list], digits: int) -> list[int]:
-    """The text widths of ecc-table, from its rows walked down from n_max until
+def _ecc_bound(header: list[str], rows_down: Iterable[list], digits: int) -> Iterator[list]:
+    """The rows of ecc-table that bound its text widths: walked down from n_max until
     no row below can be wider. The n, vertices, edges and ecc_sum cells do not
     decrease in n, so the first row holds their widest. An avg_ecc cell p/q is
     at most U(n) = digits(ecc_sum) + 1 + digits(vertices) wide, and U does not
@@ -159,12 +155,12 @@ def _ecc_widths(header: list[str], rows_down: Iterable[list], digits: int) -> li
     n >= 2, and an avg_ecc_over_n cell is at most digits + 2 wide; at n = 1 it
     renders 1 or 0, at most digits + 1 wide.
     """
-    widths = list(map(len, header))
+    avg, over_n = len(header[4]), len(header[5])
     for row in rows_down:
-        widths = list(map(max, widths, map(_cell_width, row)))
-        if len(row[3]) + 1 + len(row[1]) <= widths[4] and widths[5] >= digits + 2:
-            break
-    return widths
+        yield row
+        avg, over_n = max(avg, len(row[4])), max(over_n, len(row[5]))
+        if len(row[3]) + 1 + len(row[1]) <= avg and over_n >= digits + 2:
+            return
 
 
 def _cmd_ecc_hist(args) -> int:
@@ -187,8 +183,7 @@ def _cmd_ecc_hist(args) -> int:
         return series._histograms(n, kind)[n]
 
     hists = {r: (gf() if r == "gf" else graph().ecc_histogram(r)).counts for r in routes}
-    if not _agree(f"n={n}", "histogram", **hists):
-        return 2
+    _agree(f"n={n}", "histogram", **hists)
     _emit(_table(["k", "count"], ([str(k), str(c)] for k, c in hists[args.method].items()), args.format))
     return 0
 
@@ -204,36 +199,26 @@ def _cmd_weights(args) -> int:
         raise _UsageError(f"--verify needs --n <= {_VERIFY_MAX_N}")
     if args.verify:
         for (i, zero, one, _), brute in zip(cube.weight_rows(n, kind), cube.weight_counts_brute(n, kind), strict=True):
-            if not _agree(f"i={i}", "weight counts", sweep=(int(zero), int(one)), brute=brute):
-                return 2
+            _agree(f"i={i}", "weight counts", sweep=(int(zero), int(one)), brute=brute)
     header = ["i", "zero_count", "one_count", "ratio"]
-    sweep = cube.weight_rows(n, kind)
-    head = list(itertools.islice(sweep, 2))
 
-    def rows():
-        for i, zero, one, total in itertools.chain(head, sweep):
+    def rows(sweep):
+        for i, zero, one, total in sweep:
             yield [str(i), zero, one, format_significant(_CTX.divide(zero, one), args.digits)]
         yield ["avg", "", "", format_significant(_CTX.divide(total, n), args.digits)]
 
-    widths = _weight_widths(header, n, head, args.digits) if args.format == "text" else None
-    _emit(_table(header, rows(), args.format, widths=widths))
+    table = rows(cube.weight_rows(n, kind))
+    head = list(itertools.islice(table, 2))
+    # The first two rows bound the text widths, and avg or n the i column. A Fibonacci zero count F(i+1)F(n-i+2)
+    # is an F(a)F(b) with a + b = n + 3, a one count F(i)F(n-i+1) one with a + b = n + 1, and
+    # F(a)F(b) = (L(a+b) - (-1)^c L(|a-b|))/5 for c = min(a, b). It is below L(a+b)/5 for even c, and for odd c
+    # largest at the smallest c, where |a-b| is largest: row 2 for the zero counts (c = 3; at n = 2 both rows are
+    # equal, at n = 1 there is one), row 1 for the one counts (c = 1). Lucas counts are the same in every row. A 1
+    # turned to 0 leaves a word, so a ratio is at least 1, and F(k+1) <= 2F(k) keeps it at most 4: each ratio, and
+    # their mean, renders as wide as the first.
+    bound = [*head, ["avg", "", "", ""], [str(n), "", "", ""]]
+    _emit(_table(header, itertools.chain(head, table), args.format, bound=bound))
     return 0
-
-
-def _weight_widths(header: list[str], n: int, head: list[tuple], digits: int) -> list[int]:
-    """The text widths of weights, from its first two rows. A Fibonacci zero count
-    F(i+1)F(n-i+2) is an F(a)F(b) with a + b = n + 3, a one count F(i)F(n-i+1)
-    one with a + b = n + 1, and F(a)F(b) = (L(a+b) - (-1)^c L(|a-b|))/5 for
-    c = min(a, b). It is below L(a+b)/5 for even c, and for odd c largest at the
-    smallest c, where |a-b| is largest: row 2 for the zero counts (c = 3; at
-    n = 2 both rows are equal, at n = 1 there is one), row 1 for the one counts
-    (c = 1). Lucas counts are the same in every row. A 1 turned to 0 leaves a
-    word, so a ratio is at least 1, and F(k+1) <= 2F(k) keeps it at most 4: each
-    ratio, and their mean, renders digits + 1 wide, or 1 wide at one digit.
-    """
-    (_, _, one, _), (_, zero, _, _) = head[0], head[-1]
-    cells = [max(len("avg"), len(str(n))), zero.adjusted() + 1, one.adjusted() + 1, digits + (digits > 1)]
-    return list(map(max, map(len, header), cells))
 
 
 def _cmd_tree_check(args) -> int:
@@ -320,8 +305,7 @@ def _cmd_density(args) -> int:
     table = density.rho_limit(family, args.k, ks.step)
     if args.verify:
         for r, counts in zip(table[:checked], brute):
-            if not _agree(f"k={r.k}", "counts", closed=(int(r.num_vertices), int(r.num_edges)), brute=counts):
-                return 2
+            _agree(f"k={r.k}", "counts", closed=(int(r.num_vertices), int(r.num_edges)), brute=counts)
     rows = ([str(r.k), r.num_vertices, r.num_edges, format_significant(r.rho, args.digits)] for r in table)
     _emit(_table(["k", "vertices", "edges", "rho"], rows, args.format))
     return 0
@@ -448,6 +432,9 @@ def run(argv: Sequence[str]) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except _Inconsistent as e:
+        print(e, file=sys.stderr)
+        return 2
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
 

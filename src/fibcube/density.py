@@ -137,9 +137,10 @@ def cartesian_power(g: ExplicitGraph, k: int) -> ExplicitGraph:
 
 def cartesian_powers(g: ExplicitGraph, ks: range):
     """cartesian_power(g, k) for each k in ks, a range with a positive step, lazily:
-    each power after the first is the one before times g^step, one product a row."""
+    each power after the first is the one before times g^step, built at the second row."""
     if ks:
         yield (power := cartesian_power(g, ks.start))
+    if len(ks) > 1:
         factor = cartesian_power(g, ks.step)
         for _ in ks[1:]:
             yield (power := cartesian_product(power, factor))

@@ -104,9 +104,11 @@ def _iter_bits(n: int, word_class: WordClass) -> Iterator[int]:
     return (q | s for p, j in blocks for q in (p << k,) for s in suffix_lists[j])
 
 
-def enumerate_bits(n: int, word_class: WordClass) -> list[int]:
-    """Integer encodings of all words of the class, in lexicographic order."""
-    return list(_iter_bits(n, word_class))
+def enumerate_bits(n: int, word_class: WordClass) -> "array[int]":
+    """Integer encodings of all words of the class, in lexicographic order, as an
+    array of unsigned 64-bit ints: 8 bytes a word, where a list holds a pointer and an int."""
+    from array import array  # an extension module, loaded only by the commands that enumerate
+    return array("Q", _iter_bits(n, word_class))
 
 
 def enumerate_words(n: int, word_class: WordClass) -> list[BitWord]:

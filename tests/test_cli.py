@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fibcube import cli, cube, density, fibtree, series, words
 from fibcube.cli import _KINDS, _agree, format_significant, run
-from fibcube.numeric import decimal_context, fibonacci, lucas, to_decimal
+from fibcube.numeric import DIGITS, decimal_context, fibonacci, lucas, to_decimal
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -112,6 +112,7 @@ def test_enumerate_at_its_cap_runs_in_bounded_memory(kind, n, count):
         (["density", "--family", "fib", "--k", "20000", "--step", "1000000000000"], 2),
         (["ecc-table", "--kind", "fib", "--n-max", "20000", "--digits", "50"], 20001),
         (["weights", "--kind", "lucas", "--n", "10000"], 10002),
+        (["ecc-hist", "--kind", "fib", "--n", "30", "--method", "fast"], 17),
     ],
 )
 def test_closed_form_tables_at_their_caps_run_in_bounded_memory(argv, count):
@@ -515,10 +516,10 @@ def test_density_power_verify_at_a_step_checks_every_power(capsys, monkeypatch):
 
 
 def test_disagreeing_routes_are_reported(capsys, monkeypatch):
-    assert _agree("n=3", "edges", brute=7, closed=7)
+    _agree("n=3", "edges", brute=7, closed=7)
     assert capsys.readouterr().err == ""
-    assert not _agree("n=3", "edges", brute=7, closed=8, gf=7)
-    assert capsys.readouterr().err == "consistency failure at n=3: edges brute=7 closed=8 gf=7\n"
+    with pytest.raises(cli._Inconsistent, match=r"^consistency failure at n=3: edges brute=7 closed=8 gf=7$"):
+        _agree("n=3", "edges", brute=7, closed=8, gf=7)
     # ecc-hist --verify lists every route, the Hamming route included
     monkeypatch.setattr(cube, "_farthest_word_distances", lambda n, kind: [0] * cube.vertex_count(n, kind))
     assert run(["ecc-hist", "--kind", "lucas", "--n", "4", "--verify"]) == 2
@@ -867,7 +868,7 @@ def test_format_significant():
 @settings(max_examples=300, deadline=None)
 @given(
     st.decimals(allow_nan=False, allow_infinity=False, min_value=Decimal("-1e30"), max_value=Decimal("1e30"), places=8),
-    st.integers(1, 20),
+    st.integers(1, DIGITS),
 )
 def test_format_significant_keeps_the_digit_count_and_the_value(value, digits):
     text = format_significant(value, digits)

@@ -230,6 +230,19 @@ def test_cartesian_powers_equal_cartesian_power_with_one_product_a_row(monkeypat
         assert powers == [cartesian_power(base, k) for k in ks]
 
 
+def test_a_one_row_power_sequence_builds_no_stride(monkeypatch):
+    # g^step is the factor between rows: a single row needs none, however large the step
+    power = density.cartesian_power
+
+    def bounded_power(g, k):
+        assert k <= 3, f"built the power {k}"
+        return power(g, k)
+
+    monkeypatch.setattr(density, "cartesian_power", bounded_power)
+    base = fib_graph(2)
+    assert list(cartesian_powers(base, range(3, 4, 10**12))) == [power(base, 3)]
+
+
 def test_even_cycles_bounded_degree():
     fam = EVEN_CYCLES
     counts = [fam.counts(k) for k in (2, 4, 16, 2**10, 2**20)]

@@ -98,7 +98,7 @@ def test_block_enumeration_matches_filtered_range(data):
     block = data.draw(st.sampled_from([3, 5, words._BLOCK]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(words, "_BLOCK", block)
-        assert enumerate_bits(n, word_class) == _filtered_range(n, word_class)
+        assert enumerate_bits(n, word_class).tolist() == _filtered_range(n, word_class)
 
 
 def test_block_suffix_lists_per_class():
