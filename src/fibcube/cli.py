@@ -164,8 +164,6 @@ def _ecc_bound(header: list[str], rows_down: Iterable[list], digits: int) -> Ite
 
 
 def _cmd_ecc_hist(args) -> int:
-    from . import cube
-
     kind = _KINDS[args.kind]
     n = args.n
     routes = [r for r in _ECC_HIST_CAPS if r != "fast" or kind is WordClass.FIBONACCI]
@@ -175,14 +173,19 @@ def _cmd_ecc_hist(args) -> int:
     cap = min(_ECC_HIST_CAPS[r] for r in routes)
     if n > cap:
         raise _UsageError(f"--n must be <= {cap} with {option}")
-    graph = functools.cache(lambda: cube.CubeGraph(kind, n))
+
+    @functools.cache
+    def graph():  # cube is imported only when a graph route runs
+        from . import cube
+
+        return cube.CubeGraph(kind, n)
 
     def gf():
         from . import series
 
         return series._histograms(n, kind)[n]
 
-    hists = {r: (gf() if r == "gf" else graph().ecc_histogram(r)).counts for r in routes}
+    hists = {r: gf() if r == "gf" else graph().ecc_histogram(r).counts for r in routes}
     _agree(f"n={n}", "histogram", **hists)
     _emit(_table(["k", "count"], ([str(k), str(c)] for k, c in hists[args.method].items()), args.format))
     return 0
@@ -239,11 +242,10 @@ def _cmd_tree_check(args) -> int:
 def _cmd_tree_print(args) -> int:
     from . import fibtree
 
-    tree = fibtree.build(args.n, fibtree.LabelingKind(args.labeling))
-    if args.format == "csv":
-        _emit(_table(["depth", "label"], ([str(d), str(label)] for label, d in tree.leaves()), "csv"))
-    else:
-        _emit([tree.render()])
+    tree, csv = fibtree.build(args.n, fibtree.LabelingKind(args.labeling)), args.format == "csv"
+    # a thousand leaves per write, as enumerate writes one block of about a thousand words
+    chunks = (tree.render(i, i + 1000, csv) for i in range(0, tree.leaf_count, 1000))
+    _emit(itertools.chain(["depth,label"], chunks) if csv else chunks)
     return 0
 
 

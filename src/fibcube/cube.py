@@ -28,7 +28,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .numeric import _CTX, DIGITS, fibonacci, fibonacci_pair, log2_binet, to_decimal
-from .words import BitWord, WordClass, enumerate_bits, is_fibonacci
+from .words import _PLUS_ONE, BitWord, WordClass, enumerate_bits, is_fibonacci
 
 
 class EccHistogram(NamedTuple):
@@ -240,10 +240,6 @@ def eccentricity_fast(w: BitWord) -> int:
     if not is_fibonacci(w):
         raise ValueError(f"{w!s} has adjacent 1s")
     return w.n - sum(len(run) // 2 for run in str(w).split("1"))
-
-
-# adds 1 to every byte, by bytes.translate; eccentricities stay far below 255
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 def _fast_eccentricities(n: int) -> bytes:

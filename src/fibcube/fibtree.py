@@ -11,10 +11,11 @@ the checker demonstrates. Labels are ints inside, ``BitWord``s at the API.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import NamedTuple
 
-from .words import BitWord, WordClass
+from .words import _PLUS_ONE, BitWord, WordClass
 
 
 class LabelingKind(Enum):
@@ -22,9 +23,9 @@ class LabelingKind(Enum):
     THETA = "theta"
 
 
-def _label_rows(n: int, labeling: LabelingKind) -> list[tuple[int, int]]:
-    """(label, depth) for every leaf, left to right; a label is the int
-    encoding of a word of length n - 1, b1 the most significant bit.
+def _label_rows(n: int, labeling: LabelingKind) -> tuple[list[int], bytes]:
+    """The label and the depth of every leaf, left to right, as two columns; a label
+    is the int encoding of a word of length n - 1, b1 the most significant bit.
 
     Base labels: index 1 carries the empty word; index 2 has left leaf
     1 and right leaf 0. Growing from index k-1 and k-2 to index k, left
@@ -33,12 +34,13 @@ def _label_rows(n: int, labeling: LabelingKind) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("tree index must be >= 1")
-    prev2, prev1 = [(0, 0)], [(1, 1), (0, 1)]
+    prev2, prev1 = ([0], b"\0"), ([1, 0], b"\1\1")
     theta = labeling is LabelingKind.THETA
     for _ in range(3, n + 1):
-        left = [(b << 1 | (theta and not b & 1), d + 1) for b, d in prev1]
-        right = [(b << 2 | (not theta), d + 1) for b, d in prev2]
-        prev2, prev1 = prev1, left + right
+        (left, d1), (right, d2) = prev1, prev2
+        labels = [b << 1 | (theta and not b & 1) for b in left]
+        labels += [b << 2 | (not theta) for b in right]
+        prev2, prev1 = prev1, (labels, (d1 + d2).translate(_PLUS_ONE))
     return prev2 if n == 1 else prev1
 
 
@@ -48,18 +50,21 @@ class LeafTree:
     def __init__(self, n: int, labeling: LabelingKind):
         self.n = n
         self.labeling = labeling
-        self._rows = tuple(_label_rows(n, labeling))
-        self._depth_by_label = dict(self._rows)
-        if len(self._depth_by_label) != len(self._rows):
+        self._labels, self._depths = _label_rows(n, labeling)
+        if len(set(self._labels)) != len(self._labels):
             raise AssertionError("leaf labels are not distinct")
 
     @property
     def leaf_count(self) -> int:
-        return len(self._rows)
+        return len(self._labels)
+
+    @functools.cached_property
+    def _depth_by_label(self) -> dict[int, int]:
+        return dict(zip(self._labels, self._depths))
 
     def leaves(self) -> tuple[tuple[BitWord, int], ...]:
         """(label, depth) pairs in left-to-right order."""
-        return tuple((BitWord(self.n - 1, b), d) for b, d in self._rows)
+        return tuple((BitWord(self.n - 1, b), d) for b, d in zip(self._labels, self._depths))
 
     def depth_of(self, label: BitWord) -> int:
         # "0", "00" and "000" all encode 0, so the length must match first
@@ -67,9 +72,13 @@ class LeafTree:
             return self._depth_by_label[label.bits]
         raise ValueError(f"label {label!s} does not occur in this tree")
 
-    def render(self) -> str:
-        """One leaf per line, indented by depth: 'depth label'."""
-        return "\n".join(f"{'  ' * d}{d} {format(b, f'0{self.n - 1}b') if self.n > 1 else 'ε'}" for b, d in self._rows)
+    def render(self, start: int = 0, stop: int | None = None, csv: bool = False) -> str:
+        """Leaves start..stop - 1, all by default, one per line: 'depth label' indented by
+        depth, or 'depth,label' in csv, which writes the empty word as nothing, not ε."""
+        w, rows = self.n - 1, zip(self._labels[start:stop], self._depths[start:stop])
+        if csv:
+            return "\n".join(f"{d},{format(b, f'0{w}b') if w else ''}" for b, d in rows)
+        return "\n".join(f"{'  ' * d}{d} {format(b, f'0{w}b') if w else 'ε'}" for b, d in rows)
 
 
 def build(n: int, labeling: LabelingKind = LabelingKind.THETA) -> LeafTree:
@@ -78,7 +87,7 @@ def build(n: int, labeling: LabelingKind = LabelingKind.THETA) -> LeafTree:
 
 def depth_sum(n: int, labeling: LabelingKind = LabelingKind.THETA) -> int:
     """Total depth over all leaves; depends only on the tree shape."""
-    return sum(d for _, d in _label_rows(n, labeling))
+    return sum(_label_rows(n, labeling)[1])
 
 
 class DepthEccCheck(NamedTuple):
@@ -110,7 +119,7 @@ def verify_depth_eccentricity(n: int, labeling: LabelingKind = LabelingKind.THET
     ecc = dict(zip(graph.vertex_bits, graph.eccentricities("hamming")))
     if tree._depth_by_label.keys() != ecc.keys():
         raise AssertionError("leaf labels are not the cube's vertices")
-    for b, depth in sorted(tree._rows, key=lambda row: row[1]):
+    for b, depth in sorted(zip(tree._labels, tree._depths), key=lambda row: row[1]):
         if ecc[b] != depth:
             return DepthEccCheck(n, labeling, False, tree.leaf_count, (BitWord(n, b), depth, ecc[b]))
     return DepthEccCheck(n, labeling, True, tree.leaf_count, None)

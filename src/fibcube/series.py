@@ -9,10 +9,12 @@ eccentricity sums those of its y-derivative at y = 1. No graph is enumerated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cube import EccHistogram
 from .words import WordClass
+
+if TYPE_CHECKING:
+    from .cube import EccHistogram
 
 Poly = dict[tuple[int, int], int | Fraction]  # {(i, j): coefficient of x^i y^j}
 
@@ -100,18 +102,24 @@ def _ecc_ratio(max_n: int, kind: WordClass) -> tuple[Poly, Poly]:
     return num, den
 
 
-def _histograms(max_n: int, kind: WordClass) -> list[EccHistogram]:
+def _histograms(max_n: int, kind: WordClass) -> list[dict[int, int]]:
+    """Vertex counts per eccentricity for n = 0..max_n, as dicts, so ecc-hist's gf route needs no cube."""
     series = expand_rational(*_ecc_ratio(max_n, kind), max_n, max_n)
     return [
-        EccHistogram(n, {k: _count(c, f"x^{n} y^{k}") for k, c in enumerate(row[: n + 1]) if c})
-        for n, row in enumerate(series.coeff)
+        {k: _count(c, f"x^{n} y^{k}") for k, c in enumerate(row[: n + 1]) if c} for n, row in enumerate(series.coeff)
     ]
+
+
+def _records(max_n: int, kind: WordClass) -> list[EccHistogram]:
+    from .cube import EccHistogram
+
+    return [EccHistogram(n, counts) for n, counts in enumerate(_histograms(max_n, kind))]
 
 
 def fibonacci_ecc_gf(max_n: int) -> list[EccHistogram]:
     """Eccentricity histograms of the Fibonacci cubes for n = 0..max_n,
     read off the series (1 + xy) / (1 - xy - x^2 y)."""
-    return _histograms(max_n, WordClass.FIBONACCI)
+    return _records(max_n, WordClass.FIBONACCI)
 
 
 def lucas_ecc_gf(max_n: int) -> list[EccHistogram]:
@@ -121,7 +129,7 @@ def lucas_ecc_gf(max_n: int) -> list[EccHistogram]:
     Every row matches BFS, the single-vertex cubes at n = 0 and 1
     included: both read {0: 1}.
     """
-    return _histograms(max_n, WordClass.LUCAS)
+    return _records(max_n, WordClass.LUCAS)
 
 
 def _at_y1(poly: Poly) -> tuple[Poly, Poly]:

@@ -65,9 +65,14 @@ def is_lucas(w: BitWord) -> bool:
     return _lucas_bits(w.n, w.bits)
 
 
-# Suffix length of an enumeration block: every word of length n is a
-# prefix of n - k bits followed by a suffix of k = min(n, _BLOCK) bits.
+# Suffix length of an enumeration block: every word of length n is a prefix of
+# n - k bits followed by a suffix of k = min(n, _BLOCK) bits, or _HYPER_BLOCK for
+# the hypercube, so a block holds about a thousand words: F(16) = 987, 2^10 = 1024.
 _BLOCK = 14
+_HYPER_BLOCK = 10
+
+# adds 1 to every byte, by bytes.translate; depths and eccentricities stay far below 255
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 def word_blocks(n: int, word_class: WordClass) -> tuple[int, tuple, Iterator[tuple[int, int]]]:
@@ -81,7 +86,7 @@ def word_blocks(n: int, word_class: WordClass) -> tuple[int, tuple, Iterator[tup
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
-    k = min(n, _BLOCK)
+    k = min(n, _HYPER_BLOCK if word_class is WordClass.UNRESTRICTED else _BLOCK)
     m = n - k
     if word_class is WordClass.UNRESTRICTED:
         return k, (range(1 << k),), ((p, 0) for p in range(1 << m))

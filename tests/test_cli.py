@@ -60,6 +60,7 @@ def test_enumerate_blocks_match_per_word_rendering(capsys, block):
             ws = words.enumerate_words(n, _KINDS[kind])
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(words, "_BLOCK", block)
+                mp.setattr(words, "_HYPER_BLOCK", min(block, words._HYPER_BLOCK))  # 14 leaves hyper at its default
                 for fmt in ("text", "csv"):
                     code, out = capture(capsys, ["enumerate", "--kind", kind, "--n", str(n), "--format", fmt])
                     assert code == 0
@@ -156,6 +157,20 @@ def test_tree_commands_at_their_caps_run_in_bounded_memory(argv, count):
     code, lines, maxrss_kb = _exit_lines_and_peak_kb(argv)
     assert (code, lines) == (0, count)
     assert maxrss_kb < 64 * 1024
+
+
+def test_streaming_commands_at_their_caps_hold_about_one_block():
+    # each holds its labels or one block of about a thousand words, not every line it writes:
+    # at most 2 MB above a child that starts up, enumerates two words and exits
+    _, _, start_up_kb = _exit_lines_and_peak_kb(["enumerate", "--kind", "fib", "--n", "1"])
+    for argv, count in [
+        (["tree-print", "--n", "20"], fibonacci(21)),
+        (["tree-print", "--n", "20", "--format", "csv"], fibonacci(21) + 1),
+        (["enumerate", "--kind", "hyper", "--n", "20"], 2**20),
+    ]:
+        code, lines, maxrss_kb = _exit_lines_and_peak_kb(argv)
+        assert (code, lines) == (0, count)
+        assert maxrss_kb - start_up_kb <= 2 * 1024, (argv, maxrss_kb - start_up_kb)
 
 
 def _old_table(header, rows, fmt):
@@ -819,7 +834,7 @@ print(*sorted(sys.modules))
         ("tree-print --n 6", "fibtree"),
         ("tree-check --n 5", "fibtree cube"),
         ("ecc-hist --kind fib --n 6 --method fast", "cube"),
-        ("ecc-hist --kind lucas --n 6 --method gf", "cube series"),
+        ("ecc-hist --kind lucas --n 6 --method gf", "series"),
         ("ecc-table --kind fib --n-max 6", "cube"),
         ("ecc-table --kind fib --n-max 6 --verify", "cube series"),
         ("weights --kind fib --n 5 --verify", "cube"),

@@ -159,8 +159,8 @@ def test_build_validation():
 
 
 def test_repeated_leaf_labels_are_refused(monkeypatch):
-    rows = fibtree._label_rows(5, THETA)
-    monkeypatch.setattr(fibtree, "_label_rows", lambda n, labeling: rows + rows[:1])
+    labels, depths = fibtree._label_rows(5, THETA)
+    monkeypatch.setattr(fibtree, "_label_rows", lambda n, labeling: (labels + labels[:1], depths + depths[:1]))
     with pytest.raises(AssertionError, match="leaf labels are not distinct"):
         build(5, THETA)
 
@@ -168,9 +168,38 @@ def test_repeated_leaf_labels_are_refused(monkeypatch):
 def test_a_leaf_label_off_the_cube_is_refused(monkeypatch):
     # 0b1100 has adjacent 1s, so it is no vertex of the Fibonacci cube of dimension 4
     label_rows = fibtree._label_rows
-    monkeypatch.setattr(fibtree, "_label_rows", lambda n, labeling: [(0b1100, 4)] + label_rows(n, labeling)[1:])
+
+    def off_the_cube(n, labeling):
+        labels, depths = label_rows(n, labeling)
+        return [0b1100] + labels[1:], bytes([4]) + depths[1:]
+
+    monkeypatch.setattr(fibtree, "_label_rows", off_the_cube)
     with pytest.raises(AssertionError, match="leaf labels are not the cube's vertices"):
         verify_depth_eccentricity(4, THETA)
+
+
+def row_wise_label_rows(n, labeling):
+    # (label, depth) rows grown one leaf at a time, as the tree stored them before its two columns
+    prev2, prev1 = [(0, 0)], [(1, 1), (0, 1)]
+    theta = labeling is THETA
+    for _ in range(3, n + 1):
+        left = [(b << 1 | (theta and not b & 1), d + 1) for b, d in prev1]
+        right = [(b << 2 | (not theta), d + 1) for b, d in prev2]
+        prev2, prev1 = prev1, left + right
+    return prev2 if n == 1 else prev1
+
+
+def test_label_and_depth_columns_match_the_rows():
+    for labeling in (THETA, STD):
+        for n in range(1, 21):
+            rows = row_wise_label_rows(n, labeling)
+            labels, depths = fibtree._label_rows(n, labeling)
+            assert (type(labels), type(depths)) == (list, bytes)
+            assert list(zip(labels, depths)) == rows, (labeling, n)
+            assert depth_sum(n, labeling) == sum(d for _, d in rows), (labeling, n)
+            tree = build(n, labeling)
+            assert tree.leaf_count == len(rows)
+            assert all(tree.depth_of(BitWord(n - 1, b)) == d for b, d in rows), (labeling, n)
 
 
 def test_the_tree_holds_int_labels_and_builds_no_bitword(monkeypatch):
