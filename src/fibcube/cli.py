@@ -139,7 +139,8 @@ def _cmd_ecc_table(args) -> int:
     header = ["n", "vertices", "edges", "ecc_sum", "avg_ecc", "avg_ecc_over_n"]
     bound = None
     if args.format == "text":
-        bound = _ecc_bound(header, map(cells, cube.ecc_rows(dims[::-1], kind)), args.digits)
+        walk = (next(cube.ecc_rows(range(n, n + 1), kind)) for n in reversed(dims))  # one-row sweeps
+        bound = _ecc_bound(header, map(cells, walk), args.digits)
     _emit(_table(header, map(cells, cube.ecc_rows(dims, kind)), args.format, bound=bound))
     return 0
 

@@ -426,18 +426,18 @@ def _ecc_row(n: int, f0, f1, kind: WordClass):
 
 
 def ecc_rows(ns: range, kind: WordClass):
-    """The rows of _ecc_row for the dimensions n >= 1 in ns, a range of step 1 or
-    -1, from one fibonacci_pair(ns.start) stepped up by F(n+2) = F(n) + F(n+1) or
-    down by F(n-1) = F(n+1) - F(n): exact integer Decimals by the closed forms that
-    vertex_count, edge_count and ecc_sum_closed evaluate per dimension."""
+    """The rows of _ecc_row for the dimensions n >= 1 in ns, a range of step 1, from
+    one fibonacci_pair(ns.start) stepped by F(n+2) = F(n) + F(n+1): exact integer
+    Decimals by the closed forms that vertex_count, edge_count and ecc_sum_closed
+    evaluate per dimension."""
     _require_kind(kind)
-    if ns.step not in (1, -1) or 0 in ns:  # a negative index is refused by fibonacci_pair
-        raise ValueError("ecc_rows steps by 1 or -1 through dimensions n >= 1")
+    if ns.step != 1 or 0 in ns:  # a negative index is refused by fibonacci_pair
+        raise ValueError("ecc_rows steps by 1 through dimensions n >= 1")
     f0, f1 = map(Decimal, fibonacci_pair(ns.start))  # F(n), F(n+1)
     for n in ns:
         with localcontext(_EXACT):
             row = _ecc_row(n, f0, f1, kind)
-            f0, f1 = (f1, f0 + f1) if ns.step == 1 else (f1 - f0, f0)
+            f0, f1 = f1, f0 + f1
         yield row
 
 

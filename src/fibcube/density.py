@@ -120,12 +120,12 @@ def subdivided_complete(k: int) -> tuple[int, int]:
 
 def cartesian_product(g: ExplicitGraph, h: ExplicitGraph) -> ExplicitGraph:
     """Box product: vertex labels concatenate; an edge moves along exactly
-    one factor. |V| and |E| obey |Vg||Vh| and |Vg||Eh| + |Vh||Eg|."""
+    one factor. |V| and |E| obey |Vg||Vh| and |Vg||Eh| + |Vh||Eg|. The edges
+    come in construction order, unsorted: those along g, then those along h."""
     nh = h.num_vertices
     verts = tuple(u.concat(v) for u in g.vertices for v in h.vertices)
     edges = [(a * nh + iv, b * nh + iv) for a, b in g.edges for iv in range(nh)]
     edges += [(base + a, base + b) for base in range(0, len(verts), nh) for a, b in h.edges]
-    edges.sort()  # the one canonical order, so cartesian_powers equals repeated cartesian_power
     return tuple.__new__(ExplicitGraph, (verts, tuple(edges)))  # a witness by construction: no check
 
 
@@ -136,14 +136,13 @@ def cartesian_power(g: ExplicitGraph, k: int) -> ExplicitGraph:
 
 
 def cartesian_powers(g: ExplicitGraph, ks: range):
-    """cartesian_power(g, k) for each k in ks, a range with a positive step, lazily:
-    each power after the first is the one before times g^step, built at the second row."""
-    if ks:
-        yield (power := cartesian_power(g, ks.start))
-    if len(ks) > 1:
-        factor = cartesian_power(g, ks.step)
-        for _ in ks[1:]:
-            yield (power := cartesian_product(power, factor))
+    """cartesian_power(g, k) for each k in ks, a range with a positive step, lazily, by
+    cartesian_power's own left fold: between rows the running power is multiplied by g
+    ks.step times, so each row is cartesian_power(g, k), edge order included."""
+    if ks.step < 0:
+        raise ValueError("powers step up: need a positive step")
+    for i, k in enumerate(ks):
+        yield (power := reduce(cartesian_product, itertools.repeat(g, ks.step), power) if i else cartesian_power(g, k))
 
 
 class GraphFamily(NamedTuple):

@@ -85,9 +85,9 @@ def build(n: int, labeling: LabelingKind = LabelingKind.THETA) -> LeafTree:
     return LeafTree(n, labeling)
 
 
-def depth_sum(n: int, labeling: LabelingKind = LabelingKind.THETA) -> int:
-    """Total depth over all leaves; depends only on the tree shape."""
-    return sum(_label_rows(n, labeling)[1])
+def depth_sum(n: int) -> int:
+    """Total depth over all leaves; depends only on the tree shape, so on no labeling."""
+    return sum(_label_rows(n, LabelingKind.THETA)[1])
 
 
 class DepthEccCheck(NamedTuple):

@@ -33,8 +33,8 @@ def expand_rational(num: Poly, den: Poly, max_x: int, max_y: int) -> BiSeries:
     q[i][j] = (num[i][j] - sum of c * q[i-p][j-r]) / c0.
     When no nonzero term of num or den has r > p, neither has the quotient, so
     row i is computed only up to j = i and left zero beyond."""
-    if any(i < 0 or j < 0 for i, j in [*num, *den]):
-        raise ValueError("exponents must be >= 0")
+    if any(i < 0 or j < 0 for i, j in [*num, *den, (max_x, max_y)]):
+        raise ValueError("exponents and orders must be >= 0")
     c0 = den.get((0, 0), 0)
     if c0 == 0:
         raise ZeroDivisionError("denominator has zero constant term")
@@ -90,10 +90,8 @@ _ECC_GF = {
 }
 
 
-def _ecc_ratio(max_n: int, kind: WordClass) -> tuple[Poly, Poly]:
+def _ecc_ratio(kind: WordClass) -> tuple[Poly, Poly]:
     """The kind's generating function as one ratio N/D, D the product of its denominators."""
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
     if kind not in _ECC_GF:
         raise ValueError("eccentricity series exist for the Fibonacci and Lucas kinds only")
     num, den = {}, {(0, 0): 1}
@@ -104,7 +102,7 @@ def _ecc_ratio(max_n: int, kind: WordClass) -> tuple[Poly, Poly]:
 
 def _histograms(max_n: int, kind: WordClass) -> list[dict[int, int]]:
     """Vertex counts per eccentricity for n = 0..max_n, as dicts, so ecc-hist's gf route needs no cube."""
-    series = expand_rational(*_ecc_ratio(max_n, kind), max_n, max_n)
+    series = expand_rational(*_ecc_ratio(kind), max_n, max_n)
     return [
         {k: _count(c, f"x^{n} y^{k}") for k, c in enumerate(row[: n + 1]) if c} for n, row in enumerate(series.coeff)
     ]
@@ -144,7 +142,7 @@ def _at_y1(poly: Poly) -> tuple[Poly, Poly]:
 def ecc_sum_from_gf(max_n: int, kind: WordClass) -> list[int]:
     """Eccentricity sums e(0)..e(max_n), the generating function's y-derivative
     at y = 1: (N_y D - N D_y) / D^2 at y = 1, a series in x alone."""
-    (n1, n_y), (d1, d_y) = map(_at_y1, _ecc_ratio(max_n, kind))
+    (n1, n_y), (d1, d_y) = map(_at_y1, _ecc_ratio(kind))
     num = _add(_mul(n_y, d1), _mul(n1, {k: -c for k, c in d_y.items()}))
     series = expand_rational(num, _mul(d1, d1), max_n, 0)
     return [_count(row[0], f"x^{n}") for n, row in enumerate(series.coeff)]

@@ -258,12 +258,16 @@ def test_ecc_rows_at_the_special_moduli():
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
-def test_ecc_rows_down_are_ecc_rows_reversed(kind):
+def test_one_row_ecc_rows_are_the_forward_sweeps_rows(kind):
+    # ecc-table's width walk reads one-row sweeps down from n_max
     for n_max in [*range(1, 41), 3500]:
-        assert list(ecc_rows(range(n_max, 0, -1), kind)) == list(ecc_rows(range(1, n_max + 1), kind))[::-1], n_max
+        rows = list(ecc_rows(range(1, n_max + 1), kind))
+        assert [next(ecc_rows(range(n, n + 1), kind)) for n in range(n_max, 0, -1)] == rows[::-1], n_max
 
 
-@pytest.mark.parametrize("dims", [range(1, 10, 2), range(9, 0, -2), range(0, 3), range(3, -1, -1), range(-2, 3)])
+@pytest.mark.parametrize(
+    "dims", [range(1, 10, 2), range(9, 0, -2), range(0, 3), range(3, -1, -1), range(-2, 3), range(5, 0, -1)]
+)
 def test_ecc_rows_step_the_dimension_by_one_through_positive_dimensions(dims):
     with pytest.raises(ValueError):
         next(ecc_rows(dims, FIB))

@@ -214,9 +214,9 @@ def test_explicit_graph_from_lists_hashes_like_a_tuple():
     "ks, products",
     [
         (range(1, 6), 4),  # one product a row after the first
-        (range(2, 8, 2), 4),  # g^2 for the first row, g^2 again for the step, then two rows
-        (range(1, 8, 3), 4),
-        (range(3, 4), 2),  # one row: no g^step
+        (range(2, 8, 2), 5),  # g^2 for the first row, then two products by g a row
+        (range(1, 8, 3), 6),
+        (range(3, 4), 2),  # one row: no product past it
         (range(4, 4), 0),
     ],
 )
@@ -230,8 +230,15 @@ def test_cartesian_powers_equal_cartesian_power_with_one_product_a_row(monkeypat
         assert powers == [cartesian_power(base, k) for k in ks]
 
 
+def test_cartesian_powers_refuse_a_descending_range_before_any_row():
+    # a fold by g cannot step down: it would repeat a row instead
+    powers = cartesian_powers(fib_graph(2), range(3, 0, -1))
+    with pytest.raises(ValueError, match="positive step"):
+        next(powers)
+
+
 def test_a_one_row_power_sequence_builds_no_stride(monkeypatch):
-    # g^step is the factor between rows: a single row needs none, however large the step
+    # a single row folds in no stride, however large the step
     power = density.cartesian_power
 
     def bounded_power(g, k):

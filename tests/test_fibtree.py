@@ -116,15 +116,15 @@ def test_plain_labeling_first_counterexample():
 
 
 def test_depth_sum_values():
-    assert depth_sum(2, THETA) == 2
-    assert depth_sum(4, THETA) == 12
-    assert depth_sum(1, THETA) == 0
+    assert depth_sum(2) == 2
+    assert depth_sum(4) == 12
+    assert depth_sum(1) == 0
 
 
 def test_depth_sum_is_shape_only_and_matches_ecc_sums():
     for n in range(1, 21):
-        s = depth_sum(n, THETA)
-        assert s == depth_sum(n, STD)
+        s = depth_sum(n)
+        assert s == sum(fibtree._label_rows(n, THETA)[1]) == sum(fibtree._label_rows(n, STD)[1])
         assert s == ecc_sum_closed(n - 1, WordClass.FIBONACCI)
 
 
@@ -196,7 +196,7 @@ def test_label_and_depth_columns_match_the_rows():
             labels, depths = fibtree._label_rows(n, labeling)
             assert (type(labels), type(depths)) == (list, bytes)
             assert list(zip(labels, depths)) == rows, (labeling, n)
-            assert depth_sum(n, labeling) == sum(d for _, d in rows), (labeling, n)
+            assert depth_sum(n) == sum(d for _, d in rows), (labeling, n)
             tree = build(n, labeling)
             assert tree.leaf_count == len(rows)
             assert all(tree.depth_of(BitWord(n - 1, b)) == d for b, d in rows), (labeling, n)

@@ -247,7 +247,7 @@ def test_triangular_expansion_matches_the_full_grid_at_60(kind):
     # no term of N or D has more y's than x's, so rows stop at j = i; times
     # (1 + y) over (1 + y), the same ratio has a y-only term and is expanded in full
     order = 60
-    num, den = _ecc_ratio(order, kind)
+    num, den = _ecc_ratio(kind)
     one_plus_y = {(0, 0): 1, (0, 1): 1}
     full = expand_rational(_mul(num, one_plus_y), _mul(den, one_plus_y), order, order)
     assert expand_rational(num, den, order, order) == full
@@ -270,9 +270,16 @@ def test_univariate_sums_match_bivariate_derivative(kind, max_n):
 @pytest.mark.parametrize("kind", [FIB, LUC])
 def test_folded_ratio_expands_to_the_sum_of_the_typed_pairs(kind):
     order = 40
-    folded = expand_rational(*_ecc_ratio(order, kind), order, order).coeff
+    folded = expand_rational(*_ecc_ratio(kind), order, order).coeff
     parts = [expand_rational(num, den, order, order).coeff for num, den in _ECC_GF[kind]]
     assert folded == tuple(tuple(map(sum, zip(*rows))) for rows in zip(*parts))
+
+
+@pytest.mark.parametrize("max_x, max_y", [(-1, 2), (2, -1), (-1, -1)])
+def test_expansion_rejects_a_negative_order(max_x, max_y):
+    # a BiSeries holds max_x + 1 rows of max_y + 1 coefficients, so neither order can be negative
+    with pytest.raises(ValueError, match="orders"):
+        expand_rational({(0, 0): 1}, {(0, 0): 1, (1, 0): -1}, max_x, max_y)
 
 
 def test_expansion_rejects_negative_exponents():
