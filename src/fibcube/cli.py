@@ -21,7 +21,7 @@ _KINDS = {"fib": WordClass.FIBONACCI, "lucas": WordClass.LUCAS, "hyper": WordCla
 
 # brute-force cross-checks enumerate every vertex, so they are capped
 _VERIFY_MAX_N = 16
-# and so do explicit Cartesian powers, by their vertex count
+# density --verify builds each row's graph, so it checks rows of at most this many vertices (cubes to n = 17)
 _VERIFY_MAX_VERTICES = 5000
 # ecc-hist routes, in the order --verify compares them, and each one's cap on --n;
 # at its cap fast takes ~0.5 s and 51 MB, gf ~0.2 s and 24 MB for --kind lucas
@@ -118,7 +118,7 @@ def _cmd_ecc_table(args) -> int:
 
     kind, dims = _KINDS[args.kind], range(1, args.n_max + 1)
     if args.verify and args.n_max > _VERIFY_MAX_N:
-        raise _UsageError(f"--verify enumerates every vertex; use --n-max <= {_VERIFY_MAX_N}")
+        raise _UsageError(f"--n-max must be <= {_VERIFY_MAX_N} with --verify")
     if args.verify:
         from . import series
 
@@ -198,9 +198,9 @@ def _cmd_weights(args) -> int:
     kind = _KINDS[args.kind]
     n = args.n
     if kind is WordClass.LUCAS and n == 1:
-        raise _UsageError("ratios undefined at n=1 for kind lucas: no word has a 1")
+        raise _UsageError("--n must be >= 2 for kind lucas")
     if args.verify and n > _VERIFY_MAX_N:
-        raise _UsageError(f"--verify needs --n <= {_VERIFY_MAX_N}")
+        raise _UsageError(f"--n must be <= {_VERIFY_MAX_N} with --verify")
     if args.verify:
         for (i, zero, one, _), brute in zip(cube.weight_rows(n, kind), cube.weight_counts_brute(n, kind), strict=True):
             _agree(f"i={i}", "weight counts", sweep=(int(zero), int(one)), brute=brute)
@@ -250,61 +250,50 @@ def _cmd_tree_print(args) -> int:
     return 0
 
 
-def _fib_powers(density, base_n: int | None):
-    from . import cube
-
-    if base_n is None:
-        raise _UsageError("--family power needs --base-n")
-    nv = cube.vertex_count(base_n, WordClass.FIBONACCI)
-    ne = cube.edge_count(base_n, WordClass.FIBONACCI)
-    return density.power_family(nv, ne)
-
-
-# --family -> (family from the density module and --base-n, cap on --k); the cube caps
-# are the row bound. The module is an argument: cli imports it only in _cmd_density
+# --family -> (its GraphFamily's name in density, or None for powers of the --base-n Fibonacci cube; cap on --k)
 _DENSITY_FAMILIES = {
-    "fib": (lambda density, _: density.FIBONACCI_CUBES, _DENSITY_MAX_ROWS),
-    "lucas": (lambda density, _: density.LUCAS_CUBES, _DENSITY_MAX_ROWS),
-    "skk": (lambda density, _: density.SUBDIVIDED_COMPLETE, 10**6),
-    "cycles": (lambda density, _: density.EVEN_CYCLES, 10**12),
-    "power": (_fib_powers, 1000),
+    "fib": ("FIBONACCI_CUBES", _DENSITY_MAX_ROWS),
+    "lucas": ("LUCAS_CUBES", _DENSITY_MAX_ROWS),
+    "skk": ("SUBDIVIDED_COMPLETE", 10**6),
+    "cycles": ("EVEN_CYCLES", 10**12),
+    "power": (None, 1000),
 }
 
 
 def _cmd_density(args) -> int:
     from . import cube, density
 
-    make_family, cap = _DENSITY_FAMILIES[args.family]
+    name, cap = _DENSITY_FAMILIES[args.family]
     if args.k > cap:
         raise _UsageError(f"--k must be <= {cap} for family {args.family}")
-    if args.family != "power" and args.base_n is not None:
+    if name and args.base_n is not None:
         raise _UsageError("--base-n applies to --family power only")
-    family = make_family(density, args.base_n)
+    if not name and args.base_n is None:
+        raise _UsageError("--family power needs --base-n")
+    fib = WordClass.FIBONACCI
+    family = getattr(density, name) if name else density.power_family(
+        cube.vertex_count(args.base_n, fib), cube.edge_count(args.base_n, fib)
+    )
     if args.k < family.first_index:
         raise _UsageError(f"--k must be >= {family.first_index} for family {args.family}")
     ks = density.sampled_indices(family, args.k, args.step if args.step is not None else max(1, args.k // 200))
     if len(ks) > _DENSITY_MAX_ROWS:
         raise _UsageError(f"--k and --step sample more than {_DENSITY_MAX_ROWS} rows; raise --step")
     if args.verify:
-        if args.family in ("fib", "lucas"):
-            limit, checkable = f"dimension {_VERIFY_MAX_N}", lambda k: k <= _VERIFY_MAX_N
-            graphs = (cube.CubeGraph(_KINDS[args.family], k) for k in ks)
-            brute = ((g.num_vertices, g.edge_count_brute()) for g in graphs)
-        elif args.family == "power":
-            limit, checkable = f"{_VERIFY_MAX_VERTICES} vertices", lambda k: family.counts(k)[0] <= _VERIFY_MAX_VERTICES
-
-            def graphs():  # the base is built only once a row is checked
-                base = density.ExplicitGraph.from_cube(cube.CubeGraph(WordClass.FIBONACCI, args.base_n))
-                yield from density.cartesian_powers(base, ks)
-
-            brute = ((g.num_vertices, g.num_edges) for g in graphs())
-        else:
+        if args.family not in ("fib", "lucas", "power"):
             raise _UsageError(f"--verify has no independent route for family {args.family}")
-        # the families increase, so the checkable rows lead the table: count them before building it
-        checked = sum(1 for _ in itertools.takewhile(checkable, ks))
+        # the families increase, so the checkable rows lead the table: count them before building a graph
+        limit = f"{_VERIFY_MAX_VERTICES} vertices"
+        checked = sum(1 for _ in itertools.takewhile(lambda k: family.counts(k)[0] <= _VERIFY_MAX_VERTICES, ks))
         print(f"checked {checked} of {len(ks)} rows; skipped {len(ks) - checked} above {limit}", file=sys.stderr)
         if not checked:
             raise _UsageError(f"--verify found no row at or below {limit} to check")
+        if name:
+            graphs = map(functools.partial(cube.CubeGraph, _KINDS[args.family]), ks)
+            brute = ((g.num_vertices, g.edge_count_brute()) for g in graphs)
+        else:
+            powers = density.cartesian_powers(density.ExplicitGraph.from_cube(cube.CubeGraph(fib, args.base_n)), ks)
+            brute = ((g.num_vertices, g.num_edges) for g in powers)
     table = density.rho_limit(family, args.k, ks.step)
     if args.verify:
         for r, counts in zip(table[:checked], brute):

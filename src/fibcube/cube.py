@@ -393,6 +393,8 @@ def count_rows(ks: range, kind: WordClass):
     F(k+s) = F(k)F(s-1) + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1). The logarithm
     is log2_binet of F(k+2) or L(k): it reads the count only where it falls back."""
     _require_kind(kind)
+    if ks.step < 0:
+        raise ValueError("count_rows steps up: need a positive step")
     # only a step between two rows needs F(s): a one-row table skips it, however large s is
     a, b = fibonacci_pair(ks.step - 1) if len(ks) > 1 else (0, 1)  # F(s-1), F(s)
     f0, f1, a, b, c = map(Decimal, fibonacci_pair(ks.start) + (a, b, a + b))  # F(k), F(k+1), F(s-1), F(s), F(s+1)

@@ -548,7 +548,7 @@ def test_disagreeing_routes_are_reported(capsys, monkeypatch):
     monkeypatch.setattr(cube.CubeGraph, "edge_count_brute", lambda g: brute_edges(g) + 1)
     assert run(["density", "--family", "fib", "--k", "3", "--verify"]) == 2
     assert capsys.readouterr().err == (
-        "checked 3 of 3 rows; skipped 0 above dimension 16\n"
+        "checked 3 of 3 rows; skipped 0 above 5000 vertices\n"
         "consistency failure at k=1: counts closed=(2, 1) brute=(2, 2)\n"
     )
 
@@ -674,6 +674,20 @@ def test_density_verify_refuses_before_building_a_graph(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("family, rows", [("fib", 17), ("lucas", 16)])
+def test_density_verify_checks_every_cube_of_at_most_5000_vertices(capsys, monkeypatch, family, rows):
+    # one vertex limit for every family: F(19) = 4181 and L(17) = 3571 vertices at dimension 17,
+    # F(20) = 6765 and L(18) = 5778 at dimension 18
+    built = []
+    graph = cube.CubeGraph
+    monkeypatch.setattr(cube, "CubeGraph", lambda kind, n: built.append(n) or graph(kind, n))
+    assert run(["density", "--family", family, "--k", "17", "--step", "1", "--verify"]) == 0
+    assert capsys.readouterr().err == f"checked {rows} of {rows} rows; skipped 0 above 5000 vertices\n"
+    assert built == list(range(18 - rows, 18))
+    assert run(["density", "--family", family, "--k", "18", "--step", "1", "--verify"]) == 0
+    assert capsys.readouterr().err == f"checked {rows} of {rows + 1} rows; skipped 1 above 5000 vertices\n"
+
+
 def test_density_verify_refuses_before_building_the_table(capsys, monkeypatch):
     def no_table(*args):
         raise AssertionError("table built")
@@ -684,8 +698,8 @@ def test_density_verify_refuses_before_building_the_table(capsys, monkeypatch):
          "checked 0 of 1000 rows; skipped 1000 above 5000 vertices\n"
          "error: --verify found no row at or below 5000 vertices to check\n"),
         (["density", "--family", "lucas", "--k", "20000", "--step", "1000", "--verify"],
-         "checked 0 of 20 rows; skipped 20 above dimension 16\n"
-         "error: --verify found no row at or below dimension 16 to check\n"),
+         "checked 0 of 20 rows; skipped 20 above 5000 vertices\n"
+         "error: --verify found no row at or below 5000 vertices to check\n"),
     ):
         assert run(argv) == 1, argv
         assert capsys.readouterr() == ("", err)
@@ -758,6 +772,9 @@ RANGE_ERRORS = [
     (["ecc-hist", "--kind", "lucas", "--n", "501", "--method", "gf"], "--n must be <= 500 with --method gf"),
     (["ecc-hist", "--kind", "fib", "--n", "17", "--method", "gf", "--verify"], "--n must be <= 16 with --verify"),
     (["density", "--family", "fib", "--k", "20001"], "--k must be <= 20000 for family fib"),
+    (["ecc-table", "--kind", "fib", "--n-max", "17", "--verify"], "--n-max must be <= 16 with --verify"),
+    (["weights", "--kind", "fib", "--n", "17", "--verify"], "--n must be <= 16 with --verify"),
+    (["weights", "--kind", "lucas", "--n", "1"], "--n must be >= 2 for kind lucas"),
 ]
 
 

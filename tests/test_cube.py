@@ -291,6 +291,15 @@ def test_count_rows_match_the_int_closed_forms(kind, ks):
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
+@pytest.mark.parametrize("ks", [range(10, 3, -1), range(10, 9, -1)])
+def test_count_rows_refuse_a_descending_range_before_any_row(kind, ks):
+    # the sweep steps F(k) up only: a descending range would run it off its own rule
+    rows = count_rows(ks, kind)
+    with pytest.raises(ValueError, match="positive step"):
+        next(rows)
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
 def test_ecc_rows_bound_the_table_widths_to_3500(kind):
     # what lets ecc-table take its text widths from its last rows
     rows = list(ecc_rows(range(1, 3501), kind))
