@@ -24,7 +24,7 @@ _VERIFY_MAX_N = 16
 # density --verify builds each row's graph, so it checks rows of at most this many vertices (cubes to n = 17)
 _VERIFY_MAX_VERTICES = 5000
 # ecc-hist routes, in the order --verify compares them, and each one's cap on --n;
-# at its cap fast takes ~0.5 s and 51 MB, gf ~0.2 s and 24 MB for --kind lucas
+# at its cap fast takes ~0.25 s and 39 MB, gf ~0.2 s and 24 MB for --kind lucas
 _ECC_HIST_CAPS = {"bfs": _VERIFY_MAX_N, "gf": 500, "hamming": _VERIFY_MAX_N, "fast": 30}
 # density rows at most; the fib/lucas --k cap, so --step 1 stays valid there
 _DENSITY_MAX_ROWS = 20000

@@ -108,8 +108,8 @@ class CubeGraph:
             frontier = nxt
         return dist
 
-    def eccentricities(self, method: str = "bfs") -> list[int]:
-        """Eccentricity of every vertex, aligned with ``words()``.
+    def eccentricities(self, method: str = "bfs") -> bytes:
+        """Eccentricity of every vertex, one byte each, aligned with ``words()``.
 
         method: "bfs" (implementation of record: a BFS from all sources at
         once, in one bit-parallel sweep), "hamming" (largest Hamming distance
@@ -124,21 +124,21 @@ class CubeGraph:
         if method == "fast":
             if self.word_class is not WordClass.FIBONACCI:
                 raise ValueError("the fast route applies to Fibonacci cubes only")
-            return list(_fast_eccentricities(self.n))
+            return _fast_eccentricities(self.n)
         raise ValueError(f"unknown eccentricity method {method!r}")
 
-    def _all_sources_bfs(self) -> list[int]:
+    def _all_sources_bfs(self) -> bytes:
         """Every eccentricity by one level-synchronous multi-source BFS (Then et
         al., "The More the Merrier", PVLDB 2014): reach[v] is the bitset of the
-        vertices within distance d of v, so v's eccentricity is the first d at
-        which reach[v] holds every vertex. A full row stays full, so only the
-        rows still open are grown, each from its neighbours' rows of level d - 1."""
+        vertices within distance d of v, so v's eccentricity, byte v of the result, is
+        the first d at which reach[v] holds every vertex. A full row stays full, so only
+        the rows still open are grown, each from its neighbours' rows of level d - 1."""
         if min(self.bfs_levels(0)) < 0:  # one BFS reaches every vertex of a connected graph
             raise ValueError("graph is not connected")
         adj = self._adjacency()
         full = (1 << len(adj)) - 1
         reach = [1 << v for v in range(len(adj))]
-        ecc = [0] * len(adj)
+        ecc = bytearray(len(adj))
         open_rows = [v for v in range(len(adj)) if reach[v] != full]
         d = 0
         while open_rows:
@@ -149,7 +149,7 @@ class CubeGraph:
                 if r == full:
                     ecc[v] = d
             open_rows = [v for v in open_rows if ecc[v] == 0]
-        return ecc
+        return bytes(ecc)
 
     def ecc_histogram(self, method: str = "bfs") -> EccHistogram:
         return EccHistogram(self.n, dict(sorted(Counter(self.eccentricities(method)).items())))
@@ -180,7 +180,7 @@ def _farthest_word_distance(bits: int, n: int, kind: WordClass) -> int:
     return best
 
 
-def _farthest_word_distances(n: int, kind: WordClass) -> list[int]:
+def _farthest_word_distances(n: int, kind: WordClass) -> bytes:
     """_farthest_word_distance of every word of the class, in lexicographic order.
 
     The same DP, run once per suffix instead of once per word: read from the
@@ -189,15 +189,15 @@ def _farthest_word_distances(n: int, kind: WordClass) -> list[int]:
     then those of W_{m-2} stepped by 0 and 1. The Lucas words are 0.W_{n-1}
     ++ 10.W_{n-3}.0, or 10 alone in place of the second part at n = 2. Each
     level's d0 and d1 are bytes, offset by n + 1 so that the reference's
-    unreachable -n - 1 is 0; the largest score, n, is then 2n + 1, so n is at
-    most 127, far above any cube that can be enumerated.
+    unreachable -n - 1 is 0, until one translate takes it off the maxima; the
+    largest score, n, is then 2n + 1, so n <= 127, far above any enumerable cube.
     """
     if kind is WordClass.UNRESTRICTED:
-        return [n] * (1 << n)
+        return bytes([n]) * (1 << n)
     if n > 127:
         raise ValueError("the byte-offset scores hold n <= 127")
     if kind is WordClass.LUCAS and n < 2:
-        return [0]  # the one word is 0s, and so is the one word it can be compared with
+        return b"\0"  # the one word is 0s, and so is the one word it can be compared with
     start, unreachable = bytes([n + 1]), b"\0"
     if kind is WordClass.FIBONACCI:
         ends = _word_states(n, (start, unreachable))  # d0 and d1
@@ -206,7 +206,7 @@ def _farthest_word_distances(n: int, kind: WordClass) -> list[int]:
         for c, init in enumerate(((start, unreachable), (unreachable, start))):
             tails = init if n == 2 else _word_states(n - 3, _step(*init, 0))
             ends.append(_grow(_word_states(n - 1, init), tails)[c])
-    return [e - n - 1 for e in map(max, *ends)]
+    return bytes(map(max, *ends)).translate(bytes(n + 1) + bytes(range(255 - n)))
 
 
 def _step(d0: bytes, d1: bytes, x: int) -> tuple[bytes, bytes]:

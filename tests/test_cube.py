@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ def test_fast_route_on_the_graph_matches_per_word_and_hamming():
     for n in range(23):
         g = CubeGraph(FIB, n)
         fast = g.eccentricities("fast")
-        assert fast == [eccentricity_fast(w) for w in g.words()]
+        assert fast == bytes(eccentricity_fast(w) for w in g.words())
         assert fast == g.eccentricities("hamming")
 
 
@@ -450,7 +451,7 @@ def _hamming_scan(g):
 def test_hamming_route_matches_all_pairs_scan(kind, n):
     g = CubeGraph(kind, n)
     scan = _hamming_scan(g)
-    assert g.eccentricities("hamming") == scan
+    assert g.eccentricities("hamming") == bytes(scan)
 
 
 @settings(max_examples=100, deadline=None)
@@ -459,14 +460,14 @@ def test_hamming_route_matches_all_pairs_scan(kind, n):
 @example(LUC, 1)
 def test_hamming_table_matches_the_per_word_dp(kind, n):
     table = cube._farthest_word_distances(n, kind)
-    assert table == [cube._farthest_word_distance(b, n, kind) for b in enumerate_bits(n, kind)]
+    assert table == bytes(cube._farthest_word_distance(b, n, kind) for b in enumerate_bits(n, kind))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(st.sampled_from([FIB, LUC]), st.integers(0, 12)) | st.tuples(st.just(HYP), st.integers(0, 8)))
 def test_all_sources_sweep_matches_a_bfs_per_vertex(kind_n):
     g = CubeGraph(*kind_n)
-    assert g.eccentricities("bfs") == [max(g.bfs_levels(i)) for i in range(g.num_vertices)]
+    assert g.eccentricities("bfs") == bytes(max(g.bfs_levels(i)) for i in range(g.num_vertices))
 
 
 def test_all_sources_sweep_rejects_a_disconnected_graph(monkeypatch):
@@ -479,12 +480,32 @@ def test_all_sources_sweep_rejects_a_disconnected_graph(monkeypatch):
 def test_hamming_route_degenerate_and_hypercube_cases():
     for n in (0, 1):  # the single-vertex Lucas cubes
         g = CubeGraph(LUC, n)
-        assert g.eccentricities("hamming") == [0]
+        assert g.eccentricities("hamming") == bytes([0])
     for n in range(0, 11):
         g = CubeGraph(HYP, n)
-        assert g.eccentricities("hamming") == [n] * 2**n
+        assert g.eccentricities("hamming") == bytes([n] * 2**n)
     with pytest.raises(ValueError, match="n <= 127"):  # the byte-offset scores would wrap
         cube._farthest_word_distances(128, FIB)
+
+
+def _routes(kind):
+    return ("bfs", "hamming", "fast") if kind is FIB else ("bfs", "hamming")
+
+
+def test_every_route_returns_one_byte_per_vertex_and_the_routes_agree():
+    for kind, top in ((FIB, 14), (LUC, 14), (HYP, 10)):
+        for n in range(top + 1):
+            g = CubeGraph(kind, n)
+            eccs = [g.eccentricities(m) for m in _routes(kind)]
+            assert all(type(e) is bytes and len(e) == g.num_vertices for e in eccs), (kind, n)
+            assert all(e == eccs[0] for e in eccs), (kind, n)
+
+
+def test_no_route_holds_a_list_of_eccentricities():
+    # a list costs 8 bytes a vertex for its pointers alone; the routes return one byte each
+    g = CubeGraph(FIB, 20)
+    for method in _routes(FIB):
+        assert sys.getsizeof(g.eccentricities(method)) < 2 * g.num_vertices, method
 
 
 @settings(max_examples=60, deadline=None)
