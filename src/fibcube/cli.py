@@ -304,7 +304,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    from . import cube, density
+    from . import cube
 
     with localcontext(_CTX):
         s5 = sqrt5()
@@ -312,14 +312,13 @@ def _cmd_limits(args) -> int:
         deg_limit = (5 - s5) / 5
         phi_sq = (3 + s5) / 2
         rho_limit_const = deg_limit / (golden_ratio().ln() / _LN2)
-    # each invariant once: name, limit, (fib dimension, lucas dimension), its value for a kind at a dimension
+    # each invariant once: name, limit, (fib dimension, lucas dimension), its value for a kind at a dimension;
+    # avg-ecc-over-n and rho are the one-row sweeps whose rows ecc-table and density print at that dimension
     invariants = [
-        ("avg-ecc-over-n", ecc_limit, (1000, 1000), cube.average_ecc_over_n),
-        ("avg-deg-over-n", deg_limit, (1000, 1000),
-         lambda n, kind: to_decimal(cube.average_degree(n, kind) / n)),
+        ("avg-ecc-over-n", ecc_limit, (1000, 1000), lambda n, kind: next(cube.ecc_rows(range(n, n + 1), kind))[5]),
+        ("avg-deg-over-n", deg_limit, (1000, 1000), lambda n, kind: to_decimal(cube.average_degree(n, kind) / n)),
         ("weight-ratio", phi_sq, (1000, 60), cube.weight_ratio_average_decimal),
-        ("rho", rho_limit_const, (10000, 10000),
-         lambda n, kind: density.rho((cube.vertex_count(n, kind), cube.edge_count(n, kind)))),
+        ("rho", rho_limit_const, (10000, 10000), lambda n, kind: next(cube.count_rows(range(n, n + 1), kind))[2]),
     ]
     rows = []
     for name, limit, dims, value_at in invariants:

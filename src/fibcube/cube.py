@@ -388,10 +388,11 @@ def _ecc_sum(n: int, f0, f1, kind: WordClass):
 
 
 def count_rows(ks: range, kind: WordClass):
-    """Rows (vertices, edges, log2_int(vertices)) for the dimensions in ks, a range with
-    a positive step, from one sweep of F(k), F(k+1) in exact integer Decimals stepped by
-    F(k+s) = F(k)F(s-1) + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1). The logarithm
-    is log2_binet of F(k+2) or L(k): it reads the count only where it falls back."""
+    """Rows (vertices, edges, rho) for the dimensions in ks, a range with a positive step,
+    from one sweep of F(k), F(k+1) in exact integer Decimals stepped by F(k+s) = F(k)F(s-1)
+    + F(k+1)F(s), F(k+s+1) = F(k)F(s) + F(k+1)F(s+1). rho is 2E/V over log2_binet of F(k+2)
+    or L(k), each quotient rounded to DIGITS digits as density.rho rounds them; a one-vertex
+    cube has no density, and its row raises decimal.InvalidOperation."""
     _require_kind(kind)
     if ks.step < 0:
         raise ValueError("count_rows steps up: need a positive step")
@@ -404,7 +405,8 @@ def count_rows(ks: range, kind: WordClass):
             if k != ks.start:
                 f0, f1 = f0 * a + f1 * b, f0 * b + f1 * c
             nv, ne = _vertices(k, f0, f1, kind), _edges(k, f0, f1, kind)
-        yield nv, ne, log2_binet(nv, k if lucas else k + 2, lucas)
+            avg_degree = _CTX.divide(2 * ne, nv)
+        yield nv, ne, _CTX.divide(avg_degree, log2_binet(nv, k if lucas else k + 2, lucas))
 
 
 def _ecc_row(n: int, f0, f1, kind: WordClass):

@@ -13,7 +13,7 @@ from decimal import Context, Decimal, localcontext
 from functools import reduce
 from typing import Callable, NamedTuple
 
-from .cube import _EXACT, CubeGraph, count_rows, edge_count, vertex_count
+from .cube import CubeGraph, count_rows, edge_count, vertex_count
 from .numeric import _CTX, log2_int, to_decimal
 from .words import BitWord, WordClass
 
@@ -154,7 +154,7 @@ class GraphFamily(NamedTuple):
 
 
 class _CubeCounts(NamedTuple):
-    """The counts of a cube family: closed forms per dimension, and count_rows for a table."""
+    """The counts of a cube family: closed forms per dimension, and count_rows, rho included, for a table."""
 
     kind: WordClass
 
@@ -199,8 +199,8 @@ def sampled_indices(family: GraphFamily, k_max: int, step: int = 1) -> range:
 
 
 def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, ...]:
-    """Densities along the family at sampled_indices(family, k_max, step). A cube family's rows
-    come from one exact sweep, each divided by its logarithm; other families' go through rho."""
+    """Densities along the family at sampled_indices(family, k_max, step). A cube family's rows,
+    rho included, are those of its count_rows sweep; other families' rho comes from rho."""
     ks = sampled_indices(family, k_max, step)
     if isinstance(family.counts, _CubeCounts):
         counts = count_rows(ks, family.counts.kind)
@@ -208,11 +208,10 @@ def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, .
         counts = ((*family.counts(k), None) for k in ks)
     rows = []
     prev_nv = 0
-    for k, (nv, ne, log2_nv) in zip(ks, counts):
+    for k, (nv, ne, r) in zip(ks, counts):
         if nv <= prev_nv:
             raise ArithmeticError(f"family {family.name} is not increasing at k={k}")
         prev_nv = nv
-        r = rho((nv, ne)) if log2_nv is None else _CTX.divide(_CTX.divide(_EXACT.multiply(2, ne), nv), log2_nv)
-        rows.append(RhoRow(k, Decimal(nv), Decimal(ne), r))
+        rows.append(RhoRow(k, Decimal(nv), Decimal(ne), rho((nv, ne)) if r is None else r))
     return tuple(rows)
 

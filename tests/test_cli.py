@@ -748,6 +748,22 @@ def test_limits_values_within_tolerances(capsys):
         assert Decimal(rows[name][3]) < Decimal(tol), name
 
 
+def test_limits_print_the_rows_density_and_ecc_table_print(capsys):
+    # limits reads rho and avg_ecc_over_n off the sweeps of density and ecc-table, not a second route
+    _, out = capture(capsys, ["limits", "--digits", "50"])
+    values = {line.split()[0]: line.split()[2] for line in out.splitlines()[1:]}
+    for kind in ("fib", "lucas"):
+        _, out = capture(capsys, ["density", "--family", kind, "--k", "10000", "--step", "10000", "--digits", "50"])
+        (row,) = out.splitlines()[1:]
+        assert row.split()[:3] == ["10000", str(cube.vertex_count(10000, _KINDS[kind])),
+                                   str(cube.edge_count(10000, _KINDS[kind]))]
+        assert values[f"rho-{kind}"] == row.split()[3]
+        _, out = capture(capsys, ["ecc-table", "--kind", kind, "--n-max", "1000", "--digits", "50"])
+        last = out.splitlines()[-1].split()
+        assert last[0] == "1000"
+        assert values[f"avg-ecc-over-n-{kind}"] == last[-1]
+
+
 # (argv, the error line); every range on an argument is checked as it is parsed
 RANGE_ERRORS = [
     (["limits", "--digits", "0"], "argument --digits: must lie in 1..50"),
@@ -857,7 +873,7 @@ print(*sorted(sys.modules))
         ("ecc-table --kind fib --n-max 6 --verify", "cube series"),
         ("weights --kind fib --n 5 --verify", "cube"),
         ("density --family fib --k 10", "cube density"),
-        ("limits", "cube density"),
+        ("limits", "cube"),
     ],
 )
 def test_each_subcommand_imports_only_the_modules_it_runs(command, runs):

@@ -25,8 +25,8 @@ from fibcube.cube import (
     weight_ratio_average_decimal,
     weight_rows,
 )
-from fibcube.density import density_lemma_check
-from fibcube.numeric import DIGITS, fibonacci, log2_int, lucas, to_decimal
+from fibcube.density import density_lemma_check, rho
+from fibcube.numeric import DIGITS, fibonacci, lucas, to_decimal
 from fibcube.words import BitWord, WordClass, enumerate_bits
 
 W = BitWord.from_string
@@ -283,12 +283,20 @@ def test_ecc_rows_step_the_dimension_by_one_through_positive_dimensions(dims):
      range(0, 300)],
 )
 def test_count_rows_match_the_int_closed_forms(kind, ks):
+    # from the first dimension of at least two vertices: a one-vertex cube has no density
+    ks = range(max(ks.start, {FIB: 1, LUC: 2}[kind]), ks.stop, ks.step)
     rows = list(count_rows(ks, kind))
     assert len(rows) == len(ks)
-    for k, (nv, ne, log2_nv) in zip(ks, rows):
+    for k, (nv, ne, r) in zip(ks, rows):
         assert type(nv) is Decimal and type(ne) is Decimal, k
-        v = vertex_count(k, kind)
-        assert (str(nv), str(ne), str(log2_nv)) == (str(v), str(edge_count(k, kind)), str(log2_int(v))), k
+        v, e = vertex_count(k, kind), edge_count(k, kind)
+        assert (str(nv), str(ne), str(r)) == (str(v), str(e), str(rho((v, e)))), k
+
+
+@pytest.mark.parametrize("kind, k", [(FIB, 0), (LUC, 0), (LUC, 1)])
+def test_count_rows_give_a_one_vertex_cube_no_density(kind, k):
+    with pytest.raises(ArithmeticError):
+        next(count_rows(range(k, k + 1), kind))
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
