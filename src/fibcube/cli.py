@@ -21,10 +21,10 @@ _KINDS = {"fib": WordClass.FIBONACCI, "lucas": WordClass.LUCAS, "hyper": WordCla
 
 # brute-force cross-checks enumerate every vertex, so they are capped
 _VERIFY_MAX_N = 16
-# density --verify builds each row's graph, so it checks rows of at most this many vertices (cubes to n = 17)
+# density --verify enumerates each row's vertices, so it checks rows of at most this many (cubes to n = 17)
 _VERIFY_MAX_VERTICES = 5000
 # ecc-hist routes, in the order --verify compares them, and each one's cap on --n;
-# at its cap fast takes ~0.25 s and 39 MB, gf ~0.2 s and 24 MB for --kind lucas
+# at its cap fast takes ~0.25 s and 30 MB, gf ~0.2 s and 24 MB for --kind lucas
 _ECC_HIST_CAPS = {"bfs": _VERIFY_MAX_N, "gf": 500, "hamming": _VERIFY_MAX_N, "fast": 30}
 # density rows at most; the fib/lucas --k cap, so --step 1 stays valid there
 _DENSITY_MAX_ROWS = 20000
@@ -291,9 +291,8 @@ def _cmd_density(args) -> int:
         if name:
             graphs = map(functools.partial(cube.CubeGraph, _KINDS[args.family]), ks)
             brute = ((g.num_vertices, g.edge_count_brute()) for g in graphs)
-        else:
-            powers = density.cartesian_powers(density.ExplicitGraph.from_cube(cube.CubeGraph(fib, args.base_n)), ks)
-            brute = ((g.num_vertices, g.num_edges) for g in powers)
+        else:  # a power of the induced base cube is induced on concatenated labels: count pairs one bit apart
+            brute = density.power_counts_brute(density.ExplicitGraph.from_cube(cube.CubeGraph(fib, args.base_n)), ks)
     table = density.rho_limit(family, args.k, ks.step)
     if args.verify:
         for r, counts in zip(table[:checked], brute):

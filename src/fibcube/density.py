@@ -1,10 +1,7 @@
-"""Hypercube density: averaged degree against log2 of the vertex count.
-
-Works on explicit vertex/edge data when graphs are small enough to
-build, and on closed-form (vertices, edges) counts otherwise, since the
-density of a graph depends on nothing else. Includes the Cartesian
-product machinery used to manufacture families with prescribed density.
-"""
+"""Hypercube density: averaged degree against log2 of the vertex count, on explicit vertex/edge
+data when graphs are small enough to build, and on closed-form (vertices, edges) counts otherwise,
+since the density of a graph depends on nothing else; and the Cartesian powers that make families
+of fixed density."""
 
 from __future__ import annotations
 
@@ -21,14 +18,10 @@ from .words import BitWord, WordClass
 class ExplicitGraph(NamedTuple("ExplicitGraph", [("vertices", tuple), ("edges", tuple)])):
     """A concrete hypercube subgraph: labeled vertices plus an edge list.
 
-    Vertices are equal-length distinct words; edges are distinct index pairs
-    (i, j) with i < j whose endpoint labels differ in exactly one
-    position. Every graph given to the constructor, _make or _replace is
-    checked for all of that, so holding an ExplicitGraph is holding a
-    hypercube-subgraph witness. from_cube and cartesian_product skip the
-    check: a cube's words and edges are valid by construction, and so is
-    the product of two witnesses, whose labels concatenate and whose every
-    edge moves one factor along one of that factor's edges.
+    Vertices are equal-length distinct words; edges are distinct index pairs (i, j), i < j,
+    whose labels differ in exactly one position. The constructor, _make and _replace check
+    all of that, so an ExplicitGraph is a hypercube-subgraph witness. from_cube and
+    cartesian_product skip the check: cubes, and products of witnesses, are valid by construction.
     """
 
     __slots__ = ()
@@ -86,13 +79,10 @@ def rho(graph: ExplicitGraph | tuple[int | Decimal, int | Decimal]) -> Decimal:
 
 
 def density_lemma_check(nv: int, ne: int) -> tuple[bool, bool]:
-    """Exact check of 2*E <= V*log2(V), the same as 4**E <= V**V.
-
-    Returns (holds, is_equality); equality characterizes full hypercubes.
-    When V = 2**k both sides are the integers 2E and Vk. Otherwise log2 V
-    is irrational, so equality is impossible, and a Decimal interval
-    around V*log2(V), narrowed by doubling the precision, excludes 2E.
-    """
+    """Exact check of 2*E <= V*log2(V), the same as 4**E <= V**V: (holds, is_equality), equality
+    only on full hypercubes. When V = 2**k both sides are the integers 2E and Vk. Otherwise log2 V
+    is irrational, so equality is impossible, and a Decimal interval around V*log2(V), narrowed by
+    doubling the precision, excludes 2E."""
     if nv < 1 or ne < 0:
         raise ValueError("need at least one vertex and a non-negative edge count")
     twice_e = 2 * ne
@@ -110,8 +100,7 @@ def density_lemma_check(nv: int, ne: int) -> tuple[bool, bool]:
 
 
 def subdivided_complete(k: int) -> tuple[int, int]:
-    """Vertex and edge counts of the complete graph on k vertices with
-    every edge subdivided once: k + C(k,2) vertices, 2*C(k,2) edges."""
+    """Counts of the complete graph on k vertices, every edge subdivided: k + C(k,2) and 2*C(k,2)."""
     if k < 2:
         raise ValueError("need k >= 2")
     pairs = k * (k - 1) // 2
@@ -135,14 +124,26 @@ def cartesian_power(g: ExplicitGraph, k: int) -> ExplicitGraph:
     return reduce(cartesian_product, itertools.repeat(g, k - 1), g)
 
 
-def cartesian_powers(g: ExplicitGraph, ks: range):
-    """cartesian_power(g, k) for each k in ks, a range with a positive step, lazily, by
-    cartesian_power's own left fold: between rows the running power is multiplied by g
-    ks.step times, so each row is cartesian_power(g, k), edge order included."""
+def _fold(labels: list[int], g: ExplicitGraph) -> list[int]:  # each label followed by each of g's
+    return [a << g.vertices[0].n | w.bits for a in labels for w in g.vertices]
+
+
+def _flip_pairs(labels: list[int], width: int) -> int:
+    present = set(labels)  # pairs one bit apart among the low width bits, each found from both ends
+    return sum(a ^ 1 << j in present for a in labels for j in range(width)) // 2
+
+
+def power_counts_brute(g: ExplicitGraph, ks: range):
+    """(num_vertices, num_edges) of cartesian_power(g, k) for each k in ks, lazily: g^k of a base induced
+    in Q_n is induced in Q_nk on the concatenated labels, so its edges are the label pairs one bit apart.
+    A range that does not step up, or a base that is not induced, is refused before any row."""
     if ks.step < 0:
         raise ValueError("powers step up: need a positive step")
-    for i, k in enumerate(ks):
-        yield (power := reduce(cartesian_product, itertools.repeat(g, ks.step), power) if i else cartesian_power(g, k))
+    if _flip_pairs([w.bits for w in g.vertices], g.vertices[0].n) != g.num_edges:
+        raise ValueError("the base must be an induced subgraph")
+    for i, k in enumerate(ks):  # the first row folds k times from the empty label
+        labels = reduce(_fold, itertools.repeat(g, ks.step if i else k), labels if i else [0])
+        yield len(labels), _flip_pairs(labels, g.vertices[0].n * k)
 
 
 class GraphFamily(NamedTuple):
@@ -178,9 +179,8 @@ def power_family(base_vertices: int, base_edges: int) -> GraphFamily:
 
 
 class RhoRow(NamedTuple):
-    """One density row. Its counts are exact integer Decimals, up to thousands of
-    digits long: arithmetic on them in a context of fewer digits rounds
-    (the default has 28), so compute with int(count) or an exact context."""
+    """One density row. Its counts are exact integer Decimals, up to thousands of digits long: arithmetic on
+    them in a context of fewer digits (the default has 28) rounds, so use int(count) or an exact context."""
 
     k: int
     num_vertices: Decimal

@@ -12,6 +12,7 @@ the checker demonstrates. Labels are ints inside, ``BitWord``s at the API.
 from __future__ import annotations
 
 import functools
+import itertools
 from enum import Enum
 from typing import NamedTuple
 
@@ -51,7 +52,8 @@ class LeafTree:
         self.n = n
         self.labeling = labeling
         self._labels, self._depths = _label_rows(n, labeling)
-        if len(set(self._labels)) != len(self._labels):
+        # a sorted copy of the labels holds a pointer each, a set two slots and more
+        if any(a == b for a, b in itertools.pairwise(sorted(self._labels))):
             raise AssertionError("leaf labels are not distinct")
 
     @property

@@ -110,10 +110,10 @@ def _iter_bits(n: int, word_class: WordClass) -> Iterator[int]:
 
 
 def enumerate_bits(n: int, word_class: WordClass) -> "array[int]":
-    """Integer encodings of all words of the class, in lexicographic order, as an
-    array of unsigned 64-bit ints: 8 bytes a word, where a list holds a pointer and an int."""
+    """Integer encodings of all words of the class, in lexicographic order, as an array of unsigned
+    ints: 4 bytes a word up to n = 32 and 8 above, where a list holds a pointer and an int."""
     from array import array  # an extension module, loaded only by the commands that enumerate
-    return array("Q", _iter_bits(n, word_class))
+    return array("I" if n <= 32 else "Q", _iter_bits(n, word_class))
 
 
 def enumerate_words(n: int, word_class: WordClass) -> list[BitWord]:

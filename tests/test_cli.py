@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -491,18 +492,32 @@ def test_ecc_hist_verify_builds_one_graph(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_density_power_verify_takes_one_product_a_row(capsys, monkeypatch):
+def test_density_power_verify_folds_one_stride_a_row(capsys, monkeypatch):
     made = []
-    product = density.cartesian_product
-    monkeypatch.setattr(density, "cartesian_product", lambda g, h: made.append(g.num_vertices) or product(g, h))
-    # rows k = 1..5 of 5**k vertices are checked: one product a row after the first
+    fold = density._fold
+    monkeypatch.setattr(density, "_fold", lambda labels, g: made.append(len(labels)) or fold(labels, g))
+    monkeypatch.setattr(density, "cartesian_product", lambda g, h: pytest.fail("built a product graph"))
+    # rows k = 1..5 of 5**k vertices are checked: the first folds once from the empty label, then one fold a row
     assert run(["density", "--family", "power", "--base-n", "3", "--k", "6", "--verify"]) == 0
-    assert made == [5, 25, 125, 625]
+    assert made == [1, 5, 25, 125, 625]
     assert capsys.readouterr().err == "checked 5 of 6 rows; skipped 1 above 5000 vertices\n"
 
 
+@pytest.mark.parametrize("base_n, k", [(1, 12), (3, 6)])
+def test_density_power_verify_holds_no_product_graph(capsys, base_n, k):
+    # the rows' labels and their set, a few hundred KB; the product graphs took 2.5 MB and more
+    tracemalloc.start()
+    try:
+        assert run(["density", "--family", "power", "--base-n", str(base_n), "--k", str(k), "--verify"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    capsys.readouterr()
+
+
 def test_density_power_verify_builds_its_graphs_without_the_check(capsys, monkeypatch):
-    # the base cube and its products are valid by construction, so none enters ExplicitGraph.__new__
+    # the base cube is valid by construction and the rows build no graph, so none enters ExplicitGraph.__new__
     def refuse(cls, *fields):
         raise AssertionError("a graph the package built was checked again")
 
@@ -512,22 +527,20 @@ def test_density_power_verify_builds_its_graphs_without_the_check(capsys, monkey
 
 
 def test_density_power_verify_at_a_step_checks_every_power(capsys, monkeypatch):
-    made = []
-    product = density.cartesian_product
-    monkeypatch.setattr(density, "cartesian_product", lambda g, h: made.append(p := product(g, h)) or p)
+    rows = []
+    counts = density.power_counts_brute
+    monkeypatch.setattr(density, "power_counts_brute", lambda g, ks: (rows.append(c) or c for c in counts(g, ks)))
     assert run(["density", "--family", "power", "--base-n", "2", "--k", "9", "--step", "2", "--verify"]) == 0
     assert capsys.readouterr().err == "checked 4 of 5 rows; skipped 1 above 5000 vertices\n"
     base = density.ExplicitGraph.from_cube(cube.CubeGraph(words.WordClass.FIBONACCI, 2))
-    # each checked row k = 1, 3, 5, 7 is built, as cartesian_power builds it, and none above
-    assert [g for g in made if g.num_vertices in (27, 243, 2187)] == [
-        density.cartesian_power(base, k) for k in (3, 5, 7)
-    ]
-    assert max(g.num_vertices for g in made) == 3**7
-    # a broken product is caught at the first row it builds
-    monkeypatch.setattr(density, "cartesian_product", lambda g, h: made.append(p := product(g, g)) or p)
+    # each checked row k = 1, 3, 5, 7 is counted, as cartesian_power builds it, and none above
+    assert rows == [(g.num_vertices, g.num_edges) for g in (density.cartesian_power(base, k) for k in (1, 3, 5, 7))]
+    # a fold that loses a label whenever it folds more than the empty label is caught at the first row it breaks
+    fold = density._fold
+    monkeypatch.setattr(density, "_fold", lambda labels, g: fold(labels, g)[: -1 if len(labels) > 1 else None])
     assert run(["density", "--family", "power", "--base-n", "2", "--k", "9", "--step", "2", "--verify"]) == 2
     assert capsys.readouterr().err.splitlines()[1] == (
-        "consistency failure at k=3: counts closed=(27, 54) brute=(81, 216)"
+        "consistency failure at k=3: counts closed=(27, 54) brute=(23, 43)"
     )
 
 

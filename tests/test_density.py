@@ -15,9 +15,9 @@ from fibcube.density import (
     ExplicitGraph,
     GraphFamily,
     cartesian_power,
-    cartesian_powers,
     cartesian_product,
     density_lemma_check,
+    power_counts_brute,
     power_family,
     rho,
     rho_limit,
@@ -211,43 +211,59 @@ def test_explicit_graph_from_lists_hashes_like_a_tuple():
 
 
 @pytest.mark.parametrize(
-    "ks, products",
+    "ks, folds",
     [
-        (range(1, 6), 4),  # one product a row after the first
-        (range(2, 8, 2), 5),  # g^2 for the first row, then two products by g a row
-        (range(1, 8, 3), 6),
-        (range(3, 4), 2),  # one row: no product past it
+        (range(1, 6), 5),  # k folds from the empty label for the first row, then one a row
+        (range(2, 8, 2), 6),  # two folds for the first row, then two a row
+        (range(1, 8, 3), 7),
+        (range(3, 4), 3),  # one row: no fold past it
         (range(4, 4), 0),
     ],
 )
-def test_cartesian_powers_equal_cartesian_power_with_one_product_a_row(monkeypatch, ks, products):
+def test_power_counts_brute_equal_cartesian_power_with_one_fold_a_row(monkeypatch, ks, folds):
     made = []
-    monkeypatch.setattr(density, "cartesian_product", lambda g, h: made.append(1) or cartesian_product(g, h))
+    fold = density._fold
+    monkeypatch.setattr(density, "_fold", lambda labels, g: made.append(1) or fold(labels, g))
     for base in (fib_graph(1), fib_graph(2), lucas_graph(3)):
         made.clear()
-        powers = list(cartesian_powers(base, ks))
-        assert len(made) == products
-        assert powers == [cartesian_power(base, k) for k in ks]
+        counts = list(power_counts_brute(base, ks))
+        assert len(made) == folds
+        assert counts == [(p.num_vertices, p.num_edges) for p in (cartesian_power(base, k) for k in ks)]
 
 
-def test_cartesian_powers_refuse_a_descending_range_before_any_row():
+def test_power_counts_brute_refuse_a_descending_range_before_any_row():
     # a fold by g cannot step down: it would repeat a row instead
-    powers = cartesian_powers(fib_graph(2), range(3, 0, -1))
+    counts = power_counts_brute(fib_graph(2), range(3, 0, -1))
     with pytest.raises(ValueError, match="positive step"):
-        next(powers)
+        next(counts)
 
 
 def test_a_one_row_power_sequence_builds_no_stride(monkeypatch):
     # a single row folds in no stride, however large the step
-    power = density.cartesian_power
+    fold = density._fold
 
-    def bounded_power(g, k):
-        assert k <= 3, f"built the power {k}"
-        return power(g, k)
+    def bounded_fold(labels, g):
+        assert len(labels) < 3**3, "folded past the row"
+        return fold(labels, g)
 
-    monkeypatch.setattr(density, "cartesian_power", bounded_power)
+    monkeypatch.setattr(density, "_fold", bounded_fold)
     base = fib_graph(2)
-    assert list(cartesian_powers(base, range(3, 4, 10**12))) == [power(base, 3)]
+    assert list(power_counts_brute(base, range(3, 4, 10**12))) == [(27, 54)]
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_power_counts_brute_match_cartesian_power_on_cube_bases(kind):
+    for n in range(5):
+        base = ExplicitGraph.from_cube(CubeGraph(kind, n))
+        powers = [cartesian_power(base, k) for k in range(1, 5)]
+        assert list(power_counts_brute(base, range(1, 5))) == [(p.num_vertices, p.num_edges) for p in powers], n
+
+
+def test_power_counts_brute_match_power_family_up_to_5000_vertices():
+    for n in range(1, 13):
+        fam = power_family(vertex_count(n, FIB), edge_count(n, FIB))
+        ks = range(1, max(k for k in range(1, 13) if fam.counts(k)[0] <= 5000) + 1)
+        assert list(power_counts_brute(fib_graph(n), ks)) == [fam.counts(k) for k in ks], n
 
 
 def test_even_cycles_bounded_degree():
@@ -468,5 +484,21 @@ def test_products_pass_the_check_they_skip(data):
     start = data.draw(st.integers(1, 3), label="start")
     # powers up to g^3: at most 512 vertices
     ks = range(start, data.draw(st.integers(start, 4), label="stop"), data.draw(st.integers(1, 2), label="step"))
-    for p in (cartesian_product(g, h), *cartesian_powers(g, ks)):
+    for p in (cartesian_product(g, h), *(cartesian_power(g, k) for k in ks)):
         assert ExplicitGraph(*p) == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_power_counts_brute_count_induced_bases_and_refuse_the_rest(data):
+    g = random_subgraph(data, "g")
+    powers = [cartesian_power(g, k) for k in (1, 2)]
+    # an induced base: an edge between every two labels one bit apart
+    flips = sum((u.bits ^ v.bits).bit_count() == 1 for i, u in enumerate(g.vertices) for v in g.vertices[:i])
+    if flips == g.num_edges:
+        assert list(power_counts_brute(g, range(1, 3))) == [(p.num_vertices, p.num_edges) for p in powers]
+    if g.num_edges:  # the same base with an edge removed is not induced
+        drop = data.draw(st.integers(0, g.num_edges - 1), label="drop")
+        missing = g._replace(edges=g.edges[:drop] + g.edges[drop + 1 :])
+        with pytest.raises(ValueError, match="induced"):
+            next(power_counts_brute(missing, range(1, 3)))

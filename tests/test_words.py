@@ -52,6 +52,16 @@ def test_enumerate_small_cases():
     assert [str(w) for w in enumerate_words(2, WordClass.UNRESTRICTED)] == ["00", "01", "10", "11"]
 
 
+def test_enumeration_takes_four_bytes_a_word_up_to_length_32(monkeypatch):
+    for n in (0, 1, 20):
+        assert enumerate_bits(n, WordClass.FIBONACCI).itemsize == 4
+    # the widest words of each size, from a stand-in for the enumeration, which is too large to run
+    for n, itemsize in ((32, 4), (33, 8), (64, 8)):
+        monkeypatch.setattr(words, "_iter_bits", lambda n, word_class: iter([0, 2**n - 1]))
+        bits = enumerate_bits(n, WordClass.UNRESTRICTED)
+        assert (bits.itemsize, bits.tolist()) == (itemsize, [0, 2**n - 1])
+
+
 def test_enumeration_counts_match_closed_forms():
     for n in range(21):
         assert len(enumerate_bits(n, WordClass.FIBONACCI)) == fibonacci(n + 2)
