@@ -2,7 +2,7 @@
 
 Identical arguments always produce byte-identical output. Exit codes:
 0 on success, 1 on a usage or range error, 2 when a requested
-cross-check finds an inconsistency.
+cross-check finds an inconsistency, 141 when the reader closes stdout.
 """
 
 from __future__ import annotations
@@ -75,18 +75,12 @@ def _cell_width(cell) -> int:
 
 
 def _table(
-    header: list[str], rows: Iterable[list], fmt: str, left: frozenset[int] = frozenset(), bound: Iterable | None = None
+    header: list[str], rows: Iterable[list], fmt: str, bound: Iterable[list], left: frozenset[int] = frozenset()
 ) -> Iterator[str]:
-    """The lines of a table. A cell is text or an exact integer Decimal, rendered
-    by str. Text pads each column to its widest cell in the header and ``bound``,
-    rows whose cells are as wide as any row's, rendering no Decimal; by default the
-    rows themselves, listed once. csv, and text given a bound (as ecc-table and
-    weights give one), stream the rows.
-    """
+    """The lines of a table, streamed. A cell is text or an exact integer Decimal, rendered by str. Text pads
+    each column to its widest cell in the header and ``bound``, rows as wide as any row; csv reads no bound."""
     if fmt == "csv":
         return itertools.chain([",".join(header)], (",".join(map(str, r)) for r in rows))
-    if bound is None:
-        rows = bound = list(rows)
     widths = list(map(len, header))
     for r in bound:
         widths = list(map(max, widths, map(_cell_width, r)))
@@ -137,11 +131,9 @@ def _cmd_ecc_table(args) -> int:
         return [str(n), nv_text, str(ne), es_text, avg, format_significant(over_n, args.digits)]
 
     header = ["n", "vertices", "edges", "ecc_sum", "avg_ecc", "avg_ecc_over_n"]
-    bound = None
-    if args.format == "text":
-        walk = (next(cube.ecc_rows(range(n, n + 1), kind)) for n in reversed(dims))  # one-row sweeps
-        bound = _ecc_bound(header, map(cells, walk), args.digits)
-    _emit(_table(header, map(cells, cube.ecc_rows(dims, kind)), args.format, bound=bound))
+    walk = (next(cube.ecc_rows(range(n, n + 1), kind)) for n in reversed(dims))  # one-row sweeps, for text only
+    bound = _ecc_bound(header, map(cells, walk), args.digits)
+    _emit(_table(header, map(cells, cube.ecc_rows(dims, kind)), args.format, bound))
     return 0
 
 
@@ -188,7 +180,8 @@ def _cmd_ecc_hist(args) -> int:
 
     hists = {r: gf() if r == "gf" else graph().ecc_histogram(r).counts for r in routes}
     _agree(f"n={n}", "histogram", **hists)
-    _emit(_table(["k", "count"], ([str(k), str(c)] for k, c in hists[args.method].items()), args.format))
+    rows = [[str(k), str(c)] for k, c in hists[args.method].items()]
+    _emit(_table(["k", "count"], rows, args.format, rows))
     return 0
 
 
@@ -221,7 +214,7 @@ def _cmd_weights(args) -> int:
     # turned to 0 leaves a word, so a ratio is at least 1, and F(k+1) <= 2F(k) keeps it at most 4: each ratio, and
     # their mean, renders as wide as the first.
     bound = [*head, ["avg", "", "", ""], [str(n), "", "", ""]]
-    _emit(_table(header, itertools.chain(head, table), args.format, bound=bound))
+    _emit(_table(header, itertools.chain(head, table), args.format, bound))
     return 0
 
 
@@ -295,10 +288,19 @@ def _cmd_density(args) -> int:
             brute = density.power_counts_brute(density.ExplicitGraph.from_cube(cube.CubeGraph(fib, args.base_n)), ks)
     table = density.rho_limit(family, args.k, ks.step)
     if args.verify:
-        for r, counts in zip(table[:checked], brute):
+        head = list(itertools.islice(table, checked))
+        for r, counts in zip(head, brute):
             _agree(f"k={r.k}", "counts", closed=(int(r.num_vertices), int(r.num_edges)), brute=counts)
-    rows = ([str(r.k), r.num_vertices, r.num_edges, format_significant(r.rho, args.digits)] for r in table)
-    _emit(_table(["k", "vertices", "edges", "rho"], rows, args.format))
+        table = itertools.chain(head, table)
+
+    def cells(r):
+        return [str(r.k), r.num_vertices, r.num_edges, format_significant(r.rho, args.digits)]
+
+    # The last row, a one-row table, bounds the text widths: k and both counts increase along every family, and rho,
+    # in (0, 1] by the density lemma, renders no narrower where it is smaller. It falls (cycles, skk), holds (powers)
+    # or stays in [0.1, 0.9) from k = 2 (cubes); 1 occurs only at an opening hypercube row (fib 1, cycles 2, Q_1^k).
+    bound = map(cells, density.rho_limit(family, args.k, args.k))
+    _emit(_table(["k", "vertices", "edges", "rho"], map(cells, table), args.format, bound))
     return 0
 
 
@@ -326,7 +328,7 @@ def _cmd_limits(args) -> int:
             with localcontext(_CTX):
                 err = abs(value - limit)
             rows.append([f"{name}-{kind}", *(format_significant(v, args.digits) for v in (limit, value, err))])
-    _emit(_table(["name", "limit", "value", "abs_error"], rows, args.format, left=frozenset({0})))
+    _emit(_table(["name", "limit", "value", "abs_error"], rows, args.format, rows, left=frozenset({0})))
     return 0
 
 
@@ -430,7 +432,15 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> None:
-    sys.exit(run(sys.argv[1:] if argv is None else argv))
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: exit as a shell reports SIGPIPE, 128 + 13
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise again
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

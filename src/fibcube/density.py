@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from decimal import Context, Decimal, localcontext
 from functools import reduce
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .cube import CubeGraph, count_rows, edge_count, vertex_count
 from .numeric import _CTX, log2_int, to_decimal
@@ -198,20 +198,18 @@ def sampled_indices(family: GraphFamily, k_max: int, step: int = 1) -> range:
     return range(k_max - (k_max - family.first_index) // step * step, k_max + 1, step)
 
 
-def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> tuple[RhoRow, ...]:
-    """Densities along the family at sampled_indices(family, k_max, step). A cube family's rows,
+def rho_limit(family: GraphFamily, k_max: int, step: int = 1) -> Iterator[RhoRow]:
+    """Densities along the family at sampled_indices(family, k_max, step), yielded. A cube family's rows,
     rho included, are those of its count_rows sweep; other families' rho comes from rho."""
     ks = sampled_indices(family, k_max, step)
     if isinstance(family.counts, _CubeCounts):
         counts = count_rows(ks, family.counts.kind)
     else:
         counts = ((*family.counts(k), None) for k in ks)
-    rows = []
     prev_nv = 0
     for k, (nv, ne, r) in zip(ks, counts):
         if nv <= prev_nv:
             raise ArithmeticError(f"family {family.name} is not increasing at k={k}")
         prev_nv = nv
-        rows.append(RhoRow(k, Decimal(nv), Decimal(ne), rho((nv, ne)) if r is None else r))
-    return tuple(rows)
+        yield RhoRow(k, Decimal(nv), Decimal(ne), rho((nv, ne)) if r is None else r)
 

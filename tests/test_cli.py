@@ -168,10 +168,31 @@ def test_streaming_commands_at_their_caps_hold_about_one_block():
         (["tree-print", "--n", "20"], fibonacci(21)),
         (["tree-print", "--n", "20", "--format", "csv"], fibonacci(21) + 1),
         (["enumerate", "--kind", "hyper", "--n", "20"], 2**20),
+        # a header and 20000 rows, the row bound: each streamed, with widths from the last row
+        (["density", "--family", "fib", "--k", "20000", "--step", "1"], 20001),
+        (["density", "--family", "lucas", "--k", "20000", "--step", "1", "--format", "csv"], 20000),
+        (["density", "--family", "skk", "--k", "1000000", "--step", "50"], 20001),
     ]:
         code, lines, maxrss_kb = _exit_lines_and_peak_kb(argv)
         assert (code, lines) == (0, count)
         assert maxrss_kb - start_up_kb <= 2 * 1024, (argv, maxrss_kb - start_up_kb)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--kind", "fib", "--n", "25"], ["ecc-table", "--kind", "lucas", "--n-max", "2000"],
+     ["density", "--family", "fib", "--k", "20000", "--step", "1", "--format", "csv"], ["tree-print", "--n", "20"]],
+)
+def test_a_reader_that_closes_after_one_line_ends_the_command_quietly(argv):
+    # each writes far more than a pipe holds, so its next write after the close fails
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "fibcube.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (141, b"")
 
 
 def _old_table(header, rows, fmt):
@@ -278,6 +299,33 @@ def test_density_matches_the_int_rendering(capsys, fmt, digits, family, k, step)
     assert out == _old_table(["k", "vertices", "edges", "rho"], rows, fmt)
 
 
+@pytest.mark.parametrize(
+    "family, base_n, k, step",
+    [("fib", None, 1, None), ("fib", None, 2, None), ("fib", None, 171, None), ("fib", None, 20000, 100),
+     ("lucas", None, 2, None), ("lucas", None, 171, None), ("lucas", None, 20000, 100),
+     ("cycles", None, 2, None), ("cycles", None, 2**19, None), ("cycles", None, 2**19 + 1, None),
+     ("cycles", None, 10**12, 5 * 10**9), ("skk", None, 10**6, 5000),
+     ("power", 1, 1000, 5), ("power", 2, 1000, 5), ("power", 20, 1000, 5)],
+)
+def test_density_widths_from_the_last_row_match_the_widest_cells(capsys, family, base_n, k, step):
+    # the text takes its widths from the last row alone; _old_table from every row. Cycles cross rho = 0.1
+    # at k = 2**19, and the first row of fib and cycles, and every row of powers of Q_1, has rho = 1
+    fib = _KINDS["fib"]
+    fam = (density.power_family(cube.vertex_count(base_n, fib), cube.edge_count(base_n, fib)) if base_n
+           else getattr(density, cli._DENSITY_FAMILIES[family][0]))
+    stride = step or max(1, k // 200)
+    cells = []
+    for j in range(k - (k - fam.first_index) // stride * stride, k + 1, stride):
+        nv, ne = fam.counts(j)
+        cells.append((str(j), str(nv), str(ne), density.rho((nv, ne))))
+    argv = ["density", "--family", family, "--k", str(k), "--step", str(stride)]
+    for digits in (1, 2, 12, 50):
+        rows = [[j, nv, ne, format_significant(r, digits)] for j, nv, ne, r in cells]
+        code, out = capture(capsys, argv + (["--base-n", str(base_n)] if base_n else []) + ["--digits", str(digits)])
+        assert code == 0
+        assert out == _old_table(["k", "vertices", "edges", "rho"], rows, "text"), digits
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_weights_sweeps_once_per_table_pass(capsys, monkeypatch, fmt):
     calls = []
@@ -351,7 +399,8 @@ def test_limits_at_fifty_digits(capsys):
 
 def test_density_row_bound_rejected_before_any_work(capsys, monkeypatch):
     sampled = []
-    monkeypatch.setattr(density, "rho_limit", lambda family, k, step: sampled.append((k, step)) or ())
+    table = density.rho_limit
+    monkeypatch.setattr(density, "rho_limit", lambda fam, k, step: sampled.append((k, step)) or table(fam, k, step))
     # cycles start at k = 2: 40001 with step 2 samples 20000 rows, 40003 one more
     for argv in (
         ["density", "--family", "cycles", "--k", "40003", "--step", "2"],
@@ -365,7 +414,8 @@ def test_density_row_bound_rejected_before_any_work(capsys, monkeypatch):
     assert sampled == []
     assert run(["density", "--family", "cycles", "--k", "40001", "--step", "2"]) == 0
     assert run(["density", "--family", "fib", "--k", "20000", "--step", "1"]) == 0
-    assert sampled == [(40001, 2), (20000, 1)]
+    # each table, then the one-row table at k that bounds its text widths
+    assert sampled == [(40001, 2), (40001, 40001), (20000, 1), (20000, 20000)]
 
 
 def test_ecc_table_csv_golden(capsys):

@@ -218,10 +218,12 @@ def test_weight_ratio_decimal_matches_the_rounded_200_digit_mean(kind):
 
 
 def test_weight_ratio_decimal_agrees_with_exact():
-    for n in (2, 5, 17, 40):
+    # the exact mean from weight_count's per-position closed forms, not from the weight_rows sweep both means read
+    for n in range(2, 61):
         for kind in (FIB, LUC):
-            exact = to_decimal(weight_ratio_average(n, kind))
-            assert abs(exact - weight_ratio_average_decimal(n, kind)) < Decimal("1e-45")
+            ratios = (Fraction(weight_count(n, i, 0, kind), weight_count(n, i, 1, kind)) for i in range(1, n + 1))
+            exact = to_decimal(sum(ratios, Fraction(0)) / n)
+            assert weight_ratio_average_decimal(n, kind) == exact, (n, kind)
 
 
 @settings(max_examples=25, deadline=None)
