@@ -13,7 +13,7 @@ tests/cli_contract.json.
 
 Each command runs in-process through cli.run. Its stdout is hashed as it is
 written, so a command at its cap (ecc-table writes 419 MB) holds no copy.
-Help output is left out: argparse wraps it to the terminal width.
+argparse wraps help to the terminal width, so help is run at 80 columns.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import shlex
 import sys
+from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "cli_contract.json"
@@ -57,7 +59,7 @@ class _HashingWriter:
 def run(line: str) -> dict:
     """Run one argv line in-process: its exit code and the sha256 of its stdout and stderr."""
     out, err = _HashingWriter(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
         code = cli.run(shlex.split(line))
     return {"exit": code, "stdout": out.sha.hexdigest(), "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
@@ -73,7 +75,7 @@ _DIGITS = ["--digits 1", "", "--digits 50"]  # 12 is the default
 
 def commands() -> list[str]:
     """Every subcommand at small, middle and cap values, both formats, --digits 1, 12 and 50,
-    --verify at and above its limits, and every usage error and refusal."""
+    --verify at and above its limits, every usage error and refusal, and help."""
     cmds = []
     # enumerate: the empty word, small and middle n, the caps, and one past each
     cmds += _grid("enumerate", ["--kind fib", "--kind lucas", "--kind hyper"], ["--n 0", "--n 1", "--n 2", "--n 7"],
@@ -142,8 +144,10 @@ def commands() -> list[str]:
     # limits: every --digits boundary, both formats
     cmds += _grid("limits", ["--digits 1", "--digits 2", "", "--digits 30", "--digits 49", "--digits 50"], _FORMATS)
     cmds += ["limits --digits 0", "limits --digits 51", "limits --digits 1.5", "limits --format xml", "limits --n 3"]
-    # top-level usage errors
-    cmds += ["", "no-such-command", "--format csv", "limits extra"]
+    # top-level usage errors, and help for the program and each subcommand
+    cmds += ["", "no-such-command", "--format csv", "limits extra", "--help"]
+    cmds += [f"{name} --help" for name in ("enumerate", "ecc-table", "ecc-hist", "weights", "tree-check", "tree-print",
+                                           "density", "limits")]
     return list(dict.fromkeys(cmds))  # the grids overlap
 
 
