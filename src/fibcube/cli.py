@@ -317,7 +317,8 @@ def _cmd_limits(args) -> int:
     # avg-ecc-over-n and rho are the one-row sweeps whose rows ecc-table and density print at that dimension
     invariants = [
         ("avg-ecc-over-n", ecc_limit, (1000, 1000), lambda n, kind: next(cube.ecc_rows(range(n, n + 1), kind))[5]),
-        ("avg-deg-over-n", deg_limit, (1000, 1000), lambda n, kind: to_decimal(cube.average_degree(n, kind) / n)),
+        ("avg-deg-over-n", deg_limit, (1000, 1000),
+         lambda n, kind: to_decimal(2 * cube.edge_count(n, kind), cube.vertex_count(n, kind) * n)),
         ("weight-ratio", phi_sq, (1000, 60), cube.weight_ratio_average_decimal),
         ("rho", rho_limit_const, (10000, 10000), lambda n, kind: next(cube.count_rows(range(n, n + 1), kind))[2]),
     ]
@@ -353,71 +354,69 @@ def _add_common(p: argparse.ArgumentParser, digits: bool = False) -> None:
         )
 
 
-@functools.cache
-def _build_parser() -> _Parser:
+@functools.lru_cache(maxsize=16)  # None and the eight names fit; an unknown first argument evicts, not grows
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser with ``command``'s subparser alone, or with all eight, which help lists, if it names none."""
     parser = _Parser(prog="fibcube", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="list the vertices of one cube")
-    p.add_argument("--kind", choices=("fib", "lucas", "hyper"), required=True)
-    p.add_argument("--n", type=_int_in(0, 30), required=True, help="0..30, or 0..20 for kind hyper")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_enumerate)
+    def add(name: str, about: str, handler: Callable) -> argparse.ArgumentParser | None:
+        if command in (None, name):
+            p = sub.add_parser(name, help=about)
+            p.set_defaults(handler=handler)
+            return p
 
-    p = sub.add_parser("ecc-table", help="eccentricity sums and averages per dimension")
-    p.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    # the cap bounds the output, which grows as n_max squared: at 20000 it is
-    # 419 MB of text (210 MB csv), written in ~1.5 s at 16 MB peak RSS
-    p.add_argument("--n-max", type=_int_in(1, 20000), required=True)
-    p.add_argument("--verify", action="store_true", help="cross-check against BFS and the series")
-    _add_common(p, digits=True)
-    p.set_defaults(handler=_cmd_ecc_table)
+    if p := add("enumerate", "list the vertices of one cube", _cmd_enumerate):
+        p.add_argument("--kind", choices=("fib", "lucas", "hyper"), required=True)
+        p.add_argument("--n", type=_int_in(0, 30), required=True, help="0..30, or 0..20 for kind hyper")
+        _add_common(p)
 
-    p = sub.add_parser("ecc-hist", help="vertex counts per eccentricity")
-    p.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    p.add_argument("--n", type=_int_in(0), required=True, help="capped by --method and --verify")
-    p.add_argument("--method", choices=("bfs", "gf", "fast"), default="bfs")
-    p.add_argument("--verify", action="store_true", help="compare every applicable method")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ecc_hist)
+    if p := add("ecc-table", "eccentricity sums and averages per dimension", _cmd_ecc_table):
+        p.add_argument("--kind", choices=("fib", "lucas"), required=True)
+        # the cap bounds the output, which grows as n_max squared: at 20000 it is
+        # 419 MB of text (210 MB csv), written in ~1.5 s at 16 MB peak RSS
+        p.add_argument("--n-max", type=_int_in(1, 20000), required=True)
+        p.add_argument("--verify", action="store_true", help="cross-check against BFS and the series")
+        _add_common(p, digits=True)
 
-    p = sub.add_parser("weights", help="counts of words with 0 resp. 1 per position")
-    p.add_argument("--kind", choices=("fib", "lucas"), required=True)
-    p.add_argument("--n", type=_int_in(1, 10000), required=True)
-    p.add_argument("--verify", action="store_true", help="cross-check against enumeration")
-    _add_common(p, digits=True)
-    p.set_defaults(handler=_cmd_weights)
+    if p := add("ecc-hist", "vertex counts per eccentricity", _cmd_ecc_hist):
+        p.add_argument("--kind", choices=("fib", "lucas"), required=True)
+        p.add_argument("--n", type=_int_in(0), required=True, help="capped by --method and --verify")
+        p.add_argument("--method", choices=("bfs", "gf", "fast"), default="bfs")
+        p.add_argument("--verify", action="store_true", help="compare every applicable method")
+        _add_common(p)
 
-    p = sub.add_parser("tree-check", help="leaf depth against cube eccentricity")
-    p.add_argument("--n", type=_int_in(1, _VERIFY_MAX_N), required=True)
-    p.add_argument("--labeling", choices=("theta", "standard"), default="theta")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_tree_check)
+    if p := add("weights", "counts of words with 0 resp. 1 per position", _cmd_weights):
+        p.add_argument("--kind", choices=("fib", "lucas"), required=True)
+        p.add_argument("--n", type=_int_in(1, 10000), required=True)
+        p.add_argument("--verify", action="store_true", help="cross-check against enumeration")
+        _add_common(p, digits=True)
 
-    p = sub.add_parser("tree-print", help="render a labeled tree, one leaf per line")
-    p.add_argument("--n", type=_int_in(1, 20), required=True)
-    p.add_argument("--labeling", choices=("theta", "standard"), default="theta")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_tree_print)
+    if p := add("tree-check", "leaf depth against cube eccentricity", _cmd_tree_check):
+        p.add_argument("--n", type=_int_in(1, _VERIFY_MAX_N), required=True)
+        p.add_argument("--labeling", choices=("theta", "standard"), default="theta")
+        _add_common(p)
 
-    p = sub.add_parser("density", help="hypercube density along a family")
-    p.add_argument("--family", choices=tuple(_DENSITY_FAMILIES), required=True)
-    p.add_argument("--k", type=_int_in(1), required=True, help="capped per family")
-    p.add_argument("--base-n", type=_int_in(1, 20), default=None, help="base cube dimension for --family power")
-    p.add_argument("--step", type=_int_in(1), default=None, help="sample every STEP indices (default: k/200)")
-    p.add_argument("--verify", action="store_true", help="cross-check counts where a brute route exists")
-    _add_common(p, digits=True)
-    p.set_defaults(handler=_cmd_density)
+    if p := add("tree-print", "render a labeled tree, one leaf per line", _cmd_tree_print):
+        p.add_argument("--n", type=_int_in(1, 20), required=True)
+        p.add_argument("--labeling", choices=("theta", "standard"), default="theta")
+        _add_common(p)
 
-    p = sub.add_parser("limits", help="limit constants against values at default scales")
-    _add_common(p, digits=True)
-    p.set_defaults(handler=_cmd_limits)
+    if p := add("density", "hypercube density along a family", _cmd_density):
+        p.add_argument("--family", choices=tuple(_DENSITY_FAMILIES), required=True)
+        p.add_argument("--k", type=_int_in(1), required=True, help="capped per family")
+        p.add_argument("--base-n", type=_int_in(1, 20), default=None, help="base cube dimension for --family power")
+        p.add_argument("--step", type=_int_in(1), default=None, help="sample every STEP indices (default: k/200)")
+        p.add_argument("--verify", action="store_true", help="cross-check counts where a brute route exists")
+        _add_common(p, digits=True)
 
-    return parser
+    if p := add("limits", "limit constants against values at default scales", _cmd_limits):
+        _add_common(p, digits=True)
+    return parser if sub.choices else _build_parser()
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(next(iter(argv), None))
     try:
         args = parser.parse_args(list(argv))
         return args.handler(args)

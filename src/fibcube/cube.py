@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
-from fractions import Fraction
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from functools import reduce
 from operator import or_
 from typing import NamedTuple
@@ -155,41 +154,21 @@ class CubeGraph:
         return EccHistogram(self.n, dict(sorted(Counter(self.eccentricities(method)).items())))
 
 
-def _farthest_word_distance(bits: int, n: int, kind: WordClass) -> int:
-    """Largest Hamming distance from the n-bit word u, given as ``bits``,
-    to a word of the class.
-
-    A max-plus DP over positions: d0 and d1 are the most positions at
-    which u differs from a prefix of a word ending in 0 and in 1. A 1
-    may follow only a 0. Fibonacci words start as if a 0 stood before
-    them. Lucas words are read cyclically: one run per value c of the
-    final bit, started as if c stood before the first bit and required
-    to end in c.
-    """
-    if kind is WordClass.UNRESTRICTED:
-        return n
-    fib = kind is WordClass.FIBONACCI
-    unreachable = -n - 1  # stays below every score
-    best = 0
-    for c in (0,) if fib else (0, 1):
-        d0, d1 = (0, unreachable) if c == 0 else (unreachable, 0)
-        for j in range(n):
-            x = bits >> j & 1
-            d0, d1 = max(d0, d1) + x, d0 + 1 - x
-        best = max(best, max(d0, d1) if fib else (d0, d1)[c])
-    return best
-
-
 def _farthest_word_distances(n: int, kind: WordClass) -> bytes:
-    """_farthest_word_distance of every word of the class, in lexicographic order.
+    """Largest Hamming distance from each word of the class to a word of the class,
+    in lexicographic order.
 
-    The same DP, run once per suffix instead of once per word: read from the
-    last symbol, as the reference reads, the words of length m are 0.W_{m-1}
+    A max-plus DP over positions: d0 and d1 are the most positions at which
+    the word differs from a prefix of a class word ending in 0 and in 1, and a 1
+    may follow only a 0; Lucas words are read cyclically, one run per value c of
+    the final bit, started as if c stood before the first bit and required to end
+    in c. It runs once per suffix instead of once per word: read from the
+    last symbol, the words of length m are 0.W_{m-1}
     ++ 10.W_{m-2}, so the states of W_m are those of W_{m-1} stepped by 0,
     then those of W_{m-2} stepped by 0 and 1. The Lucas words are 0.W_{n-1}
     ++ 10.W_{n-3}.0, or 10 alone in place of the second part at n = 2. Each
-    level's d0 and d1 are bytes, offset by n + 1 so that the reference's
-    unreachable -n - 1 is 0, until one translate takes it off the maxima; the
+    level's d0 and d1 are bytes, offset by n + 1 so that an unreachable
+    state, -n - 1, is 0, until one translate takes it off the maxima; the
     largest score, n, is then 2n + 1, so n <= 127, far above any enumerable cube.
     """
     if kind is WordClass.UNRESTRICTED:
@@ -210,7 +189,7 @@ def _farthest_word_distances(n: int, kind: WordClass) -> bytes:
 
 
 def _step(d0: bytes, d1: bytes, x: int) -> tuple[bytes, bytes]:
-    """One DP step of _farthest_word_distance on every state, reading the symbol x."""
+    """One DP step of _farthest_word_distances on every state, reading the symbol x."""
     top = bytes(map(max, d0, d1))
     return (top.translate(_PLUS_ONE), d0) if x else (top, d0.translate(_PLUS_ONE))
 
@@ -293,6 +272,7 @@ def ecc_sum_closed(n: int, kind: WordClass) -> int:
 
 
 def average_ecc(n: int, kind: WordClass) -> Fraction:
+    from fractions import Fraction  # imported on use: no CLI command reads a Fraction
     if n < 1:
         raise ValueError("average eccentricity needs n >= 1")
     return Fraction(ecc_sum_closed(n, kind), vertex_count(n, kind))
@@ -313,6 +293,7 @@ def edge_count(n: int, kind: WordClass) -> int:
 
 
 def average_degree(n: int, kind: WordClass) -> Fraction:
+    from fractions import Fraction
     if n < 1:
         raise ValueError("average degree needs n >= 1")
     return Fraction(2 * edge_count(n, kind), vertex_count(n, kind))
@@ -346,6 +327,7 @@ def weight_counts_brute(n: int, kind: WordClass) -> list[tuple[int, int]]:
 
 def weight_ratio_average(n: int, kind: WordClass) -> Fraction:
     """Mean over positions of (#words with 0 there) / (#words with 1 there). Exact."""
+    from fractions import Fraction
     return sum((Fraction(int(z), int(o)) for _, z, o, _ in weight_rows(n, kind)), Fraction(0)) / n
 
 
@@ -356,35 +338,41 @@ def weight_ratio_average_decimal(n: int, kind: WordClass):
 
 
 # Exact integer arithmetic in Decimal for the table sweeps: libmpdec writes
-# text in linear time, CPython's int in quadratic time. An inexact "/" at
+# text in linear time, CPython's int in quadratic time. An inexact divide at
 # this precision raises MemoryError, not Inexact, so divide by _exact_div.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 def _exact_div(a: int | Decimal, d: int) -> int | Decimal:
-    q, r = divmod(a, d)
+    q, r = (_EXACT.divmod if isinstance(a, Decimal) else divmod)(a, d)
     if r:
         raise ArithmeticError(f"{a} is not divisible by {d}")
     return q
 
 
-# The closed forms, from n and (F(n), F(n+1)) as ints or as exact integer
-# Decimals; on Decimals they are evaluated in the _EXACT context.
+# The closed forms, from n and (F(n), F(n+1)) as ints or as exact integer Decimals, on the (+, -, *) of their
+# type: on Decimals, the methods of _EXACT, since a generator cannot keep a localcontext across a yield.
+_OPS = {int: (int.__add__, int.__sub__, int.__mul__), Decimal: (_EXACT.add, _EXACT.subtract, _EXACT.multiply)}
+
+
 def _vertices(n: int, f0, f1, kind: WordClass):
     """F(n+2), or L(n) for n >= 1; the length-0 Lucas cube has one vertex, F(1)."""
-    return f0 + f1 if kind is WordClass.FIBONACCI else 2 * f1 - f0 if n else f1
+    plus, minus, times = _OPS[type(f0)]
+    return plus(f0, f1) if kind is WordClass.FIBONACCI else minus(times(2, f1), f0) if n else f1
 
 
 def _edges(n: int, f0, f1, kind: WordClass):
+    plus, minus, times = _OPS[type(f0)]
     if kind is WordClass.FIBONACCI:
-        return _exact_div(n * f1 + 2 * (n + 1) * f0, 5)
-    return n * (f1 - f0)
+        return _exact_div(plus(times(n, f1), times(2 * n + 2, f0)), 5)
+    return times(n, minus(f1, f0))
 
 
 def _ecc_sum(n: int, f0, f1, kind: WordClass):
+    plus, _, times = _OPS[type(f0)]
     if kind is WordClass.FIBONACCI:
-        return _exact_div(3 * f0 + 4 * n * f1 + 3 * n * f0, 5)
-    return n * f1 + (-1) ** n * (n - n // 2)
+        return _exact_div(plus(times(3 * n + 3, f0), times(4 * n, f1)), 5)
+    return plus(times(n, f1), (-1) ** n * (n - n // 2))
 
 
 def count_rows(ks: range, kind: WordClass):
@@ -401,66 +389,64 @@ def count_rows(ks: range, kind: WordClass):
     f0, f1, a, b, c = map(Decimal, fibonacci_pair(ks.start) + (a, b, a + b))  # F(k), F(k+1), F(s-1), F(s), F(s+1)
     lucas = kind is WordClass.LUCAS
     for k in ks:
-        with localcontext(_EXACT):
-            if k != ks.start:
-                f0, f1 = f0 * a + f1 * b, f0 * b + f1 * c
-            nv, ne = _vertices(k, f0, f1, kind), _edges(k, f0, f1, kind)
-            avg_degree = _CTX.divide(2 * ne, nv)
+        if k != ks.start:
+            f0, f1 = _EXACT.fma(f0, a, _EXACT.multiply(f1, b)), _EXACT.fma(f0, b, _EXACT.multiply(f1, c))
+        nv, ne = _vertices(k, f0, f1, kind), _edges(k, f0, f1, kind)
+        avg_degree = _CTX.divide(_EXACT.add(ne, ne), nv)
         yield nv, ne, _CTX.divide(avg_degree, log2_binet(nv, k if lucas else k + 2, lucas))
 
 
-def _ecc_row(n: int, f0, f1, kind: WordClass):
-    """The row (n, vertices, edges, ecc_sum, (p, q), avg_ecc_over_n) from F(n), F(n+1)
-    as exact integer Decimals, in the _EXACT context; p/q is the average
-    eccentricity in lowest terms, and p, q are ecc_sum and vertices themselves
-    when g = 1.
-
-    g = gcd(ecc_sum, vertices) divides a small m. Fibonacci: 5 ecc_sum =
-    (3 - n)F(n) mod F(n+2), prime to F(n), so m = |n - 3|, or m = F(5) at
-    n = 3. Lucas: ecc_sum = c - nF(n-1) mod L(n), c = (-1)^n (n - n//2), and
-    -5F(n-1)^2 = (-1)^n, so m = (-1)^n n^2 + 5c^2."""
-    nv, ne, es = _vertices(n, f0, f1, kind), _edges(n, f0, f1, kind), _ecc_sum(n, f0, f1, kind)
-    if kind is WordClass.FIBONACCI:
-        m = abs(n - 3) or int(nv)
-    else:
-        m = (-1) ** n * n * n + 5 * (n - n // 2) ** 2
-    g = math.gcd(m, int(es % m), int(nv % m))
-    pq = (es, nv) if g == 1 else (_exact_div(es, g), _exact_div(nv, g))
-    return n, nv, ne, es, pq, _CTX.divide(es, nv * n)
-
-
 def ecc_rows(ns: range, kind: WordClass):
-    """The rows of _ecc_row for the dimensions n >= 1 in ns, a range of step 1, from
-    one fibonacci_pair(ns.start) stepped by F(n+2) = F(n) + F(n+1): exact integer
-    Decimals by the closed forms that vertex_count, edge_count and ecc_sum_closed
-    evaluate per dimension."""
+    """Rows (n, vertices, edges, ecc_sum, (p, q), avg_ecc_over_n) for the dimensions n >= 1 in ns, a range of
+    step 1, in exact integer Decimals; p/q is the average eccentricity in lowest terms, and p, q are ecc_sum and
+    vertices themselves when their gcd g is 1.
+
+    Rows start - 1 and start are the closed forms on one fibonacci_pair(start - 1); later rows add. With w(n) the
+    vertex count, F(n+2) or L(n) where L(0) = 2: the edges are E(n) = E(n-1) + E(n-2) + w(n-2), as G_n is 0G_{n-1}
+    and 10G_{n-2} joined by F(n) edges (Hsu, IEEE TPDS 4, 1993), and by its closed form the eccentricity sum is
+    S(n) = S(n-1) + S(n-2) + w(n), plus (-1)^n (n//2 + 1) for Lucas. A sweep of two or more rows raises
+    ArithmeticError unless its last row equals the closed forms on its stepped F(n), F(n+1).
+
+    g divides a small m. Fibonacci: 5 ecc_sum = (3 - n)F(n) mod F(n+2), prime to F(n), so m = |n - 3|, or
+    m = F(5) at n = 3. Lucas: ecc_sum = c - nF(n-1) mod L(n), c = (-1)^n (n - n//2), and -5F(n-1)^2 = (-1)^n,
+    so m = (-1)^n n^2 + 5c^2."""
     _require_kind(kind)
-    if ns.step != 1 or 0 in ns:  # a negative index is refused by fibonacci_pair
+    if ns.step != 1 or ns.start < 1:
         raise ValueError("ecc_rows steps by 1 through dimensions n >= 1")
-    f0, f1 = map(Decimal, fibonacci_pair(ns.start))  # F(n), F(n+1)
+    fib, add, start = kind is WordClass.FIBONACCI, _EXACT.add, ns.start
+
+    def closed(k, x, y):  # (w, E, S, F(k)) from F(k), F(k+1); _vertices at 1 gives L(0) = 2 at k = 0
+        return _vertices(1, x, y, kind), _edges(k, x, y, kind), _ecc_sum(k, x, y, kind), x
+
+    f0, f1 = map(Decimal, fibonacci_pair(start - 1))
+    (wa, ea, sa, fa), (w, e, es, f) = closed(start - 1, f0, f1), closed(start, f1, add(f0, f1))  # rows n - 1, n
     for n in ns:
-        with localcontext(_EXACT):
-            row = _ecc_row(n, f0, f1, kind)
-            f0, f1 = f1, f0 + f1
-        yield row
+        if n != start:
+            wa, w, ea, e, sa, es, fa, f = w, add(wa, w), e, add(add(ea, e), wa), es, add(sa, es), f, add(fa, f)
+            es = add(es, w) if fib else add(add(es, w), (-1) ** n * (n // 2 + 1))
+            if n == ns.stop - 1 and closed(n, f, add(fa, f)) != (w, e, es, f):
+                raise ArithmeticError(f"row {n} of the sweep differs from the closed forms")
+        m = abs(n - 3) or int(w) if fib else (-1) ** n * n * n + 5 * (n - n // 2) ** 2
+        g = math.gcd(m, int(_EXACT.remainder(es, m)), int(_EXACT.remainder(w, m)))
+        pq = (es, w) if g == 1 else (_exact_div(es, g), _exact_div(w, g))
+        yield n, w, e, es, pq, _CTX.divide(es, _EXACT.multiply(w, n))
 
 
 def weight_rows(n: int, kind: WordClass):
-    """Rows (i, zero, one, total) for positions i = 1..n, from one sweep: the count
-    one of words with 1 at position i by the closed form of weight_count, which stays
-    the reference, and the count zero of words with 0 there as the vertex count less
-    one, both exact integer Decimals; total is the sum of zero/one up to i. The ratios
-    are divided and summed with len(str(n)) + 5 guard digits, so the last sum is off
-    by under 1e-4 units in the last place of the mean. Rounded once, only a mean
-    within that distance of a halfway point can round the other way."""
+    """Rows (i, zero, one, total) for positions i = 1..n, from one sweep by additions: the count one of words
+    with 1 at position i, and the count zero of words with 0 there as the vertex count less one, both exact
+    integer Decimals; total is the sum of zero/one up to i. The Fibonacci one, F(i)F(n-i+1) by weight_count,
+    which stays the reference, is by Binet's formula a constant plus multiples of (-phi^2)^i and (-psi^2)^i,
+    roots of x^2 + 3x + 1, so it steps as P(i+3) = P(i) + 2(P(i+1) - P(i+2)); so does the Lucas one, F(n-1).
+    The ratios are divided and summed with len(str(n)) + 5 guard digits, so the last sum is off by under 1e-4
+    units in the last place of the mean. Rounded once, only a mean within that distance of a halfway point
+    can round the other way."""
     _require_kind(kind)
     if n < 1:
         raise ValueError("weight ratios need n >= 1")
     if kind is WordClass.LUCAS and n == 1:
         raise ValueError("undefined for the length-1 Lucas cube: no word has a 1")
     f0, f1 = fibonacci_pair(n - 1)  # F(n-1), F(n)
-    # Fibonacci: F(i)F(n-i+1) is a constant plus multiples of (-phi^2)^i and (-psi^2)^i,
-    # roots of x^2 + 3x + 1, so P(i+3) = P(i) + 2(P(i+1) - P(i+2)); so does Lucas's F(n-1)
     ones = (f1, f0, 2 * (f1 - f0)) if kind is WordClass.FIBONACCI else (f0,) * 3  # F(1)F(n), F(2)F(n-1), F(3)F(n-2)
     one, o1, o2 = map(Decimal, ones)
     vertices = Decimal(_vertices(n, f1, f0 + f1, kind))
@@ -470,5 +456,4 @@ def weight_rows(n: int, kind: WordClass):
         zero = _EXACT.subtract(vertices, one)
         total = guard.add(total, guard.divide(zero, one))
         yield i, zero, one, total
-        with localcontext(_EXACT):
-            one, o1, o2 = o1, o2, one + 2 * (o1 - o2)
+        one, o1, o2 = o1, o2, _EXACT.fma(2, _EXACT.subtract(o1, o2), one)

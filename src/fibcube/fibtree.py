@@ -118,10 +118,12 @@ def verify_depth_eccentricity(n: int, labeling: LabelingKind = LabelingKind.THET
         raise ValueError("dimension must be >= 1")
     tree = build(n + 1, labeling)
     graph = CubeGraph(WordClass.FIBONACCI, n)
-    ecc = dict(zip(graph.vertex_bits, graph.eccentricities("hamming")))
-    if tree._depth_by_label.keys() != ecc.keys():
+    ecc, depths = graph.eccentricities("hamming"), tree._depth_by_label
+    if len(depths) != graph.num_vertices or not all(b in depths for b in graph._bits):
         raise AssertionError("leaf labels are not the cube's vertices")
-    for b, depth in sorted(zip(tree._labels, tree._depths), key=lambda row: row[1]):
-        if ecc[b] != depth:
-            return DepthEccCheck(n, labeling, False, tree.leaf_count, (BitWord(n, b), depth, ecc[b]))
+    if ecc != bytes(map(depths.__getitem__, graph._bits)):  # compared in vertex order, keyed by label only to report
+        ecc = dict(zip(graph._bits, ecc))
+        for b, depth in sorted(zip(tree._labels, tree._depths), key=lambda row: row[1]):
+            if ecc[b] != depth:
+                return DepthEccCheck(n, labeling, False, tree.leaf_count, (BitWord(n, b), depth, ecc[b]))
     return DepthEccCheck(n, labeling, True, tree.leaf_count, None)

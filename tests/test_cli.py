@@ -889,6 +889,16 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_a_subcommand_first_builds_its_subparser_alone():
+    # help, an option first and an unknown name take the parser with every subcommand, as the CLI contract pins
+    full = cli._build_parser()
+    assert all(cli._build_parser(first) is full for first in ("--help", "-h", "--format", "no-such-command", ""))
+    one = cli._build_parser("limits")
+    assert one is not full and one.parse_args(["limits"]).handler is cli._cmd_limits
+    with pytest.raises(cli._UsageError, match="invalid choice"):
+        one.parse_args(["weights"])
+
+
 DETERMINISM_COMMANDS = [
     ["ecc-table", "--kind", "fib", "--n-max", "10", "--format", "csv"],
     ["ecc-table", "--kind", "lucas", "--n-max", "10"],
@@ -952,6 +962,7 @@ def test_each_subcommand_imports_only_the_modules_it_runs(command, runs):
     package = {m for m in loaded if m == "fibcube" or m.startswith("fibcube.")}
     always = {"fibcube", "fibcube.cli", "fibcube.numeric", "fibcube.words"}
     assert package == always | {f"fibcube.{m}" for m in runs.split()}
+    assert ("fractions" in loaded) == ("fibcube.series" in loaded)  # only the series keeps Fractions
 
 
 def test_subprocess_runs_are_byte_identical():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from decimal import Context, Decimal, localcontext
@@ -94,7 +95,7 @@ def test_fast_eccentricity_is_the_run_formula_read_either_way(w):
     runs = str(w).split("1")
     assert eccentricity_fast(w) == w.n - sum(len(r) // 2 for r in runs)
     assert eccentricity_fast(W(str(w)[::-1])) == eccentricity_fast(w)
-    assert eccentricity_fast(w) == cube._farthest_word_distance(w.bits, w.n, FIB)
+    assert eccentricity_fast(w) == _farthest_word_distance(w.bits, w.n, FIB)
 
 
 def test_only_the_bfs_route_builds_the_adjacency():
@@ -237,6 +238,33 @@ def test_ecc_rows_match_the_int_closed_forms(kind, n_max):
         # every cell renders as str() of the int it stands for
         assert list(map(str, (nv, ne, es, p, q))) == list(map(str, counts + (avg.numerator, avg.denominator)))
         assert str(over_n) == str(average_ecc_over_n(n, kind))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FIB, LUC]), st.integers(min_value=1, max_value=400), st.integers(min_value=2, max_value=60))
+@example(LUC, 1, 2)  # steps from L(0) = 2, where the length-0 Lucas cube has one vertex
+@example(FIB, 2, 3)  # reduces by F(5) at n = 3
+def test_ecc_rows_from_any_start_match_the_closed_forms(kind, start, k):
+    # rows start - 1 and start come from the closed forms, and every later row from additions
+    rows = list(ecc_rows(range(start, start + k), kind))
+    assert [row[0] for row in rows] == list(range(start, start + k))
+    for n, nv, ne, es, (p, q), over_n in rows:
+        assert (int(nv), int(ne), int(es)) == (vertex_count(n, kind), edge_count(n, kind), ecc_sum_closed(n, kind))
+        assert Fraction(int(p), int(q)) == average_ecc(n, kind) and math.gcd(int(p), int(q)) == 1, n
+        assert (p is es and q is nv) == (math.gcd(int(es), int(nv)) == 1), n
+        assert over_n == average_ecc_over_n(n, kind), n
+
+
+@pytest.mark.parametrize("kind", [FIB, LUC])
+def test_ecc_rows_refuse_a_last_row_off_the_closed_forms(kind, monkeypatch):
+    # the stepped sums are checked once, on the last row, against the closed forms on the stepped F(n), F(n+1)
+    n_max, closed = 30, cube._ecc_sum
+    monkeypatch.setattr(cube, "_ecc_sum", lambda n, f0, f1, kind: closed(n, f0, f1, kind) + (n == n_max))
+    rows = ecc_rows(range(1, n_max + 1), kind)
+    assert [row[0] for row in itertools.islice(rows, n_max - 1)] == list(range(1, n_max))
+    with pytest.raises(ArithmeticError, match=f"row {n_max}"):
+        next(rows)
+    assert next(ecc_rows(range(n_max, n_max + 1), kind))[0] == n_max  # a one-row sweep is the closed form itself
 
 
 @pytest.mark.parametrize("kind", [FIB, LUC])
@@ -447,7 +475,32 @@ def test_ecc_histogram_rejects_fast_for_lucas():
 def test_fast_recursion_matches_hamming_on_random_vertices(n, data):
     bits = enumerate_bits(n, FIB)
     b = data.draw(st.sampled_from(bits))
-    assert eccentricity_fast(BitWord(n, b)) == cube._farthest_word_distance(b, n, FIB)
+    assert eccentricity_fast(BitWord(n, b)) == _farthest_word_distance(b, n, FIB)
+
+
+def _farthest_word_distance(bits: int, n: int, kind: WordClass) -> int:
+    """The Hamming route's reference, one word at a time: the largest Hamming
+    distance from the n-bit word u, given as ``bits``, to a word of the class.
+
+    A max-plus DP over positions: d0 and d1 are the most positions at
+    which u differs from a prefix of a word ending in 0 and in 1. A 1
+    may follow only a 0. Fibonacci words start as if a 0 stood before
+    them. Lucas words are read cyclically: one run per value c of the
+    final bit, started as if c stood before the first bit and required
+    to end in c.
+    """
+    if kind is WordClass.UNRESTRICTED:
+        return n
+    fib = kind is WordClass.FIBONACCI
+    unreachable = -n - 1  # stays below every score
+    best = 0
+    for c in (0,) if fib else (0, 1):
+        d0, d1 = (0, unreachable) if c == 0 else (unreachable, 0)
+        for j in range(n):
+            x = bits >> j & 1
+            d0, d1 = max(d0, d1) + x, d0 + 1 - x
+        best = max(best, max(d0, d1) if fib else (d0, d1)[c])
+    return best
 
 
 def _hamming_scan(g):
@@ -470,7 +523,7 @@ def test_hamming_route_matches_all_pairs_scan(kind, n):
 @example(LUC, 1)
 def test_hamming_table_matches_the_per_word_dp(kind, n):
     table = cube._farthest_word_distances(n, kind)
-    assert table == bytes(cube._farthest_word_distance(b, n, kind) for b in enumerate_bits(n, kind))
+    assert table == bytes(_farthest_word_distance(b, n, kind) for b in enumerate_bits(n, kind))
 
 
 @settings(max_examples=40, deadline=None)
