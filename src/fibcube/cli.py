@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def format_significant(value: Decimal, digits: int) -> str:
     """Render with exactly ``digits`` significant digits: rounded once, then padded with zeros."""
     ctx = _significant(digits)
-    d = ctx.plus(Decimal(value))
+    d = ctx.plus(value)
     if d == 0:
         return "0"
     return str(d.quantize(Decimal((0, (1,), d.adjusted() - digits + 1)), context=ctx))
@@ -69,25 +69,18 @@ def _emit(lines: Iterable[str]) -> None:
     sys.stdout.writelines(line + "\n" for line in lines)
 
 
-def _cell_width(cell) -> int:
-    # an exact integer Decimal d has d.adjusted() + 1 digits
-    return len(cell) if isinstance(cell, str) else cell.adjusted() + 1
-
-
 def _table(
     header: list[str], rows: Iterable[list], fmt: str, bound: Iterable[list], left: frozenset[int] = frozenset()
 ) -> Iterator[str]:
-    """The lines of a table, streamed. A cell is text or an exact integer Decimal, rendered by str. Text pads
-    each column to its widest cell in the header and ``bound``, rows as wide as any row; csv reads no bound."""
+    """The lines of a table of text cells, streamed. Text pads each column to its widest cell in the
+    header and ``bound``, rows as wide as any row; csv reads no bound."""
     if fmt == "csv":
-        return itertools.chain([",".join(header)], (",".join(map(str, r)) for r in rows))
+        return map(",".join, itertools.chain([header], rows))
     widths = list(map(len, header))
     for r in bound:
-        widths = list(map(max, widths, map(_cell_width, r)))
+        widths = list(map(max, widths, map(len, r)))
     return (
-        "  ".join(
-            cell.ljust(w) if c in left else cell.rjust(w) for c, (cell, w) in enumerate(zip(map(str, r), widths))
-        ).rstrip()
+        "  ".join(cell.ljust(w) if c in left else cell.rjust(w) for c, (cell, w) in enumerate(zip(r, widths))).rstrip()
         for r in itertools.chain([header], rows)
     )
 
@@ -157,8 +150,7 @@ def _ecc_bound(header: list[str], rows_down: Iterable[list], digits: int) -> Ite
 
 
 def _cmd_ecc_hist(args) -> int:
-    kind = _KINDS[args.kind]
-    n = args.n
+    kind, n = _KINDS[args.kind], args.n
     routes = [r for r in _ECC_HIST_CAPS if r != "fast" or kind is WordClass.FIBONACCI]
     if args.method not in routes:
         raise _UsageError("--method fast applies to --kind fib only")
@@ -188,8 +180,7 @@ def _cmd_ecc_hist(args) -> int:
 def _cmd_weights(args) -> int:
     from . import cube
 
-    kind = _KINDS[args.kind]
-    n = args.n
+    kind, n = _KINDS[args.kind], args.n
     if kind is WordClass.LUCAS and n == 1:
         raise _UsageError("--n must be >= 2 for kind lucas")
     if args.verify and n > _VERIFY_MAX_N:
@@ -201,7 +192,7 @@ def _cmd_weights(args) -> int:
 
     def rows(sweep):
         for i, zero, one, total in sweep:
-            yield [str(i), zero, one, format_significant(_CTX.divide(zero, one), args.digits)]
+            yield [str(i), str(zero), str(one), format_significant(_CTX.divide(zero, one), args.digits)]
         yield ["avg", "", "", format_significant(_CTX.divide(total, n), args.digits)]
 
     table = rows(cube.weight_rows(n, kind))
@@ -294,7 +285,7 @@ def _cmd_density(args) -> int:
         table = itertools.chain(head, table)
 
     def cells(r):
-        return [str(r.k), r.num_vertices, r.num_edges, format_significant(r.rho, args.digits)]
+        return [str(r.k), str(r.num_vertices), str(r.num_edges), format_significant(r.rho, args.digits)]
 
     # The last row, a one-row table, bounds the text widths: k and both counts increase along every family, and rho,
     # in (0, 1] by the density lemma, renders no narrower where it is smaller. It falls (cycles, skk), holds (powers)

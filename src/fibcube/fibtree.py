@@ -28,10 +28,12 @@ def _label_rows(n: int, labeling: LabelingKind) -> tuple[list[int], bytes]:
     """The label and the depth of every leaf, left to right, as two columns; a label
     is the int encoding of a word of length n - 1, b1 the most significant bit.
 
-    Base labels: index 1 carries the empty word; index 2 has left leaf
-    1 and right leaf 0. Growing from index k-1 and k-2 to index k, left
-    leaves gain 0, or the complement of their last bit for theta; right
-    leaves gain 00, or 01 for standard.
+    Base labels: index 1 carries the empty word; index 2 has left leaf 1 and right leaf 0. Growing
+    from index k-1 and k-2 to index k, left leaves gain 0, or the complement of their last bit for theta;
+    right leaves gain 00, or 01 for standard. So theta appends a 1 only after a 0: each label is a Fibonacci
+    word. From index 3 on its left labels end in 01 or 10 and its right labels in 00, each side one suffix
+    on the distinct labels of a smaller tree, so by induction all are distinct. Being F(n + 1), as many as
+    those words, they are exactly the vertices of the Fibonacci cube of dimension n - 1.
     """
     if n < 1:
         raise ValueError("tree index must be >= 1")

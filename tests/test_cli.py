@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import os
 import pathlib
 import subprocess
@@ -324,6 +325,32 @@ def test_density_widths_from_the_last_row_match_the_widest_cells(capsys, family,
         code, out = capture(capsys, argv + (["--base-n", str(base_n)] if base_n else []) + ["--digits", str(digits)])
         assert code == 0
         assert out == _old_table(["k", "vertices", "edges", "rho"], rows, "text"), digits
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [["ecc-table", "--kind", "fib", "--n-max", "30"], ["ecc-table", "--kind", "lucas", "--n-max", "30"],
+     ["ecc-hist", "--kind", "fib", "--n", "12"], ["ecc-hist", "--kind", "lucas", "--n", "12", "--method", "gf"],
+     ["weights", "--kind", "fib", "--n", "40"], ["weights", "--kind", "lucas", "--n", "40"],
+     ["density", "--family", "fib", "--k", "300"], ["density", "--family", "lucas", "--k", "300"],
+     ["density", "--family", "skk", "--k", "1000"], ["density", "--family", "cycles", "--k", "1000"],
+     ["density", "--family", "power", "--base-n", "3", "--k", "20"], ["limits"]],
+)
+def test_every_table_cell_is_text(capsys, monkeypatch, argv, fmt):
+    calls = []
+    table = cli._table
+
+    def text_only(header, rows, fmt, bound, **left):
+        rows, bound = list(rows), list(bound)
+        for r in itertools.chain([header], rows, bound):
+            assert all(type(cell) is str for cell in r), r
+        calls.append(len(rows))
+        return table(header, rows, fmt, bound, **left)
+
+    monkeypatch.setattr(cli, "_table", text_only)
+    code, out = capture(capsys, [*argv, "--format", fmt])
+    assert code == 0 and calls and out
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])

@@ -1,9 +1,13 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from fibcube import fibtree
 from fibcube.cube import CubeGraph, ecc_sum_closed
 from fibcube.fibtree import LabelingKind, build, depth_sum, verify_depth_eccentricity
 from fibcube.numeric import fibonacci
+from fibcube.series import fibonacci_ecc_gf, lucas_ecc_gf
 from fibcube.words import BitWord, WordClass, enumerate_words
 
 W = BitWord.from_string
@@ -126,6 +130,32 @@ def test_depth_sum_is_shape_only_and_matches_ecc_sums():
         s = depth_sum(n)
         assert s == sum(fibtree._label_rows(n, THETA)[1]) == sum(fibtree._label_rows(n, STD)[1])
         assert s == ecc_sum_closed(n - 1, WordClass.FIBONACCI)
+
+
+def kraft_sum(counts):
+    """Sum over depths d of count(d) * 2^-d, exactly: 1 for the leaf depths of a full binary tree."""
+    return sum(Fraction(c, 2**d) for d, c in counts.items())
+
+
+def test_theta_depths_satisfy_the_kraft_equality():
+    for n in range(1, 23):
+        assert kraft_sum(Counter(fibtree._label_rows(n, THETA)[1])) == 1, n
+
+
+def test_fibonacci_cube_eccentricities_satisfy_the_kraft_equality():
+    # the shape certificate of the tree theorem: the eccentricities of Gamma_n can be leaf depths of a full binary tree
+    for h in fibonacci_ecc_gf(200):
+        assert kraft_sum(h.counts) == 1, h.n
+
+
+def test_lucas_cube_eccentricities_miss_the_kraft_equality_from_three():
+    # at y = 1/2 the Lucas ratio is -1 + 1/(1 - x) + 2/(1 + x/2) - (1 - x)/(1 - x^2/2), whose x^n coefficient is
+    # 1 + (-1)^(n+1) (2^floor((n-1)/2) - 1) / 2^(n-1): so no full binary tree has them as leaf depths for n >= 3
+    for h in lucas_ecc_gf(200)[1:]:
+        n = h.n
+        gap = Fraction((-1) ** (n + 1) * (2 ** ((n - 1) // 2) - 1), 2 ** (n - 1))
+        assert kraft_sum(h.counts) == 1 + gap, n
+        assert (gap != 0) == (n >= 3), n
 
 
 def test_depth_total_equals_eccentricity_total():
